@@ -173,15 +173,6 @@ def discrete_cdf(atoms: Sequence[float]) -> CdfOracle:
                      support=(float(a[0]), float(a[-1])))
 
 
-def point_mass_cdf(c: float) -> CdfOracle:
-    return CdfOracle(
-        cdf=lambda x: (np.asarray(x, dtype=float) >= c).astype(float),
-        quantile=lambda u: c,
-        cdf_antideriv=lambda x: max(0.0, x - c),
-        support=(c, c),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exact supremum oracles
 

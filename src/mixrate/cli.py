@@ -25,14 +25,39 @@ from .classes import uniform01_cdf
 
 OUTPUT_DIR_ENV = "MIXRATE_OUTPUT_DIR"
 
+# the params each generator requires, with their admissible ranges
+_DGP_PARAMS = {
+    "iid_uniform": {},
+    "renewal": {
+        "properties": {"tail_exponent": {"type": "number", "exclusiveMinimum": 0},
+                       "l_max": {"type": "integer", "minimum": 1}},
+        "required": ["tail_exponent"],
+    },
+    "ar1": {
+        "properties": {"a": {"type": "number", "exclusiveMinimum": -1,
+                             "exclusiveMaximum": 1}},
+        "required": ["a"],
+    },
+    "markov": {
+        "properties": {"transition": {"type": "array", "minItems": 1},
+                       "state_values": {"type": "array", "minItems": 1}},
+        "required": ["transition", "state_values"],
+    },
+}
+
 _DGP_SCHEMA = {
     "type": "object",
     "properties": {
-        "generator": {"enum": ["iid_uniform", "renewal", "ar1", "markov"]},
+        "generator": {"enum": list(_DGP_PARAMS)},
         "params": {"type": "object"},
     },
     "required": ["generator"],
     "additionalProperties": False,
+    "allOf": [
+        {"if": {"properties": {"generator": {"const": gen}}},
+         "then": {"properties": {"params": params}, "required": ["params"]}}
+        for gen, params in _DGP_PARAMS.items() if params
+    ],
 }
 
 SCHEMAS = {
@@ -76,7 +101,7 @@ SCHEMAS = {
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 30},
             "base_seed": {"type": "integer"},
-            "tolerance": {"type": "number"},
+            "tolerance": {"type": "number", "minimum": 0},
         },
         "required": ["dgp", "statistic", "n_grid", "replications", "base_seed"],
         "additionalProperties": False,
@@ -321,7 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = {} if args.config is None else json.loads(
             Path(args.config).read_text())
-        jsonschema.validate(cfg, SCHEMAS[schema_key])
+        # the schemas are constants: the tests check them against the
+        # metaschema, a check that would cost every run milliseconds
+        jsonschema.Draft202012Validator(SCHEMAS[schema_key]).validate(cfg)
     except (OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

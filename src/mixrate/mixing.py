@@ -132,6 +132,22 @@ class MixingProfile:
         v = self.values
         return float(v[q]) if q < len(v) else 0.0
 
+    def coefficients(self, q_max: int) -> np.ndarray:
+        """The sequence coefficient(0), ..., coefficient(q_max) as an array.
+
+        Entry q equals ``coefficient(q)`` bit for bit.  For exact Markov
+        chains the matrix powers are built once, in the multiplication order
+        of ``np.linalg.matrix_power``, from the O(log q_max) repeated
+        squares; that turns the O(q_max) matrix powers of a scalar loop into
+        O(q_max log q_max) small products.  The other kinds are cheap per
+        entry and evaluate the scalar formula.
+        """
+        if q_max < 0:
+            raise ValueError("q_max must be >= 0")
+        if self.kind == ProfileKind.EXACT_MARKOV:
+            return _exact_beta_markov_sequence(self.transition, self.stationary, q_max)
+        return np.array([self.coefficient(q) for q in range(q_max + 1)])
+
     @staticmethod
     def iid() -> "MixingProfile":
         return MixingProfile(kind=ProfileKind.TABULATED, values=np.array([1.0]))
@@ -294,6 +310,42 @@ def exact_beta_markov(transition, stationary, q: int) -> float:
     pq = np.linalg.matrix_power(transition, q)
     tv_rows = 0.5 * np.abs(pq - pi[None, :]).sum(axis=1)
     return float(pi @ tv_rows)
+
+
+def _exact_beta_markov_sequence(transition: np.ndarray, pi: np.ndarray,
+                                q_max: int) -> np.ndarray:
+    """[exact_beta_markov(P, pi, q) for q in 0..q_max], equal bit for bit.
+
+    ``np.linalg.matrix_power`` forms P^q as ((Z_{k0} @ Z_{k1}) @ ...) over
+    the set bits k0 < k1 < ... of q, with Z_k = P^(2^k) from repeated
+    squaring, except P^3 = (P @ P) @ P.  Reproducing that order keeps every
+    rounding error identical.  The row TV distances are reduced a block of
+    powers at a time (the same elementwise operations and per-row sums as
+    the scalar path); a block holds at most 4096 matrix entries, so beside
+    the squares Z_k memory does not grow with q_max.
+    """
+    out = np.empty(q_max + 1)
+    out[0] = 1.0
+    squares = [transition]
+    block = max(1, 4096 // transition.size)
+    powers = []
+    for q in range(1, q_max + 1):
+        while q >> len(squares):
+            squares.append(squares[-1] @ squares[-1])
+        if q == 3:
+            pq = squares[1] @ transition
+        else:
+            pq = None
+            for k in range(q.bit_length()):
+                if (q >> k) & 1:
+                    pq = squares[k] if pq is None else pq @ squares[k]
+        powers.append(pq)
+        if len(powers) == block or q == q_max:
+            tv_rows = 0.5 * np.abs(np.stack(powers) - pi).sum(axis=2)
+            for j, row in enumerate(tv_rows, start=q + 1 - len(powers)):
+                out[j] = pi @ row
+            powers.clear()
+    return out
 
 
 def _rank_bins(values: np.ndarray, m_bins: int) -> np.ndarray:

@@ -8,7 +8,7 @@ acceptance is phrased in exponents and slopes, never in constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -27,24 +27,6 @@ class ScaleError(ValueError):
     """Raised when the norm radius is below the admissible scale."""
 
 
-# ---------------------------------------------------------------------------
-# Orlicz power family
-
-
-@dataclass(frozen=True)
-class OrliczPower:
-    """The power Orlicz family phi(x) = x**(r/2), r > 2, with its conjugate
-    constant c_phi = sqrt(1 + sup_{x>=0}(x - x**(r/2)))."""
-
-    r: float
-    c_phi: float = field(init=False)
-
-    def __post_init__(self):
-        if self.r <= 2:
-            raise ValueError("power index r must exceed 2 (linear phi excluded)")
-        object.__setattr__(self, "c_phi", c_phi(self.r))
-
-
 def c_phi(r: float) -> float:
     """sqrt(1 + sup_{x>=0}(x - x**(r/2))), maximized at x = (2/r)**(2/(r-2))."""
     if r <= 2:
@@ -57,20 +39,18 @@ def c_phi(r: float) -> float:
 
 def lambda_phi_beta(profile: MixingProfile, q: int, r: float) -> float:
     """Cumulative Orlicz-weighted mixing mass
-    sum_{i=0}^q integral_0^{beta_i} u**(-2/r) du = (1-2/r)^{-1} sum beta_i**(1-2/r)."""
+    sum_{i=0}^q integral_0^{beta_i} u**(-2/r) du = (1-2/r)^{-1} sum beta_i**(1-2/r).
+
+    The coefficients come from one ``profile.coefficients(q)`` call, so an
+    exact Markov profile costs O(q log q) small matrix products, not O(q)
+    separate matrix powers.
+    """
     if r <= 2:
         raise ValueError("r must exceed 2")
     if q < 0:
         raise ValueError("q must be >= 0")
     p = 1.0 - 2.0 / r
-    coeffs = np.array([profile.coefficient(i) for i in range(q + 1)])
-    return float(np.sum(coeffs ** p) / p)
-
-
-def _lambda_cumulative(profile: MixingProfile, q_max: int, r: float) -> np.ndarray:
-    p = 1.0 - 2.0 / r
-    coeffs = np.array([profile.coefficient(i) for i in range(q_max + 1)])
-    return np.cumsum(coeffs ** p) / p
+    return float(np.sum(profile.coefficients(q) ** p) / p)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +72,12 @@ def tau_q(profile: MixingProfile, entropy: EntropyModel, delta: float, n: int,
     """Smallest q in [0, n] with beta_q <= (q/n) * (1 + dyadic entropy sum).
 
     The left side is non-increasing and the right side increasing in q, so
-    the first crossing is found by linear scan (n <= 1e4) or bisection.
+    the first crossing is found by linear scan (``"scan"``) or by galloping
+    up from q = 1 through 1, 2, 4, ... (capped at n) and bisecting the last
+    doubling (``"bisect"``).  Both return the same q; ``"auto"`` scans when
+    n <= 1e4.  Galloping keeps the probes near the crossing, which for
+    fast-mixing profiles sits at small q whatever n is.  Raises
+    ``ValueError`` when no q in [0, n] crosses.
     """
     if not (0 < delta <= entropy.sigma):
         raise ValueError("delta must lie in (0, sigma]")
@@ -112,9 +97,12 @@ def tau_q(profile: MixingProfile, entropy: EntropyModel, delta: float, n: int,
         raise ValueError("no admissible q in [0, n]")
     if method != "bisect":
         raise ValueError(f"unknown method {method!r}")
-    if not crossed(n):
-        raise ValueError("no admissible q in [0, n]")
-    lo, hi = 0, n  # crossed(hi) True; find first True
+    lo, hi = 0, 1
+    while not crossed(hi):
+        if hi == n:
+            raise ValueError("no admissible q in [0, n]")
+        lo, hi = hi, min(2 * hi, n)
+    # crossed(hi) True, and crossed(lo) False unless lo == 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if crossed(mid):
@@ -137,11 +125,13 @@ def finite_class_bound(sigma: float, b: float, cardinality: int, n: int,
         raise ValueError("cardinality must be >= 1")
     if sigma <= 0 or b <= 0:
         raise ValueError("sigma and b must be > 0")
-    lam = _lambda_cumulative(profile, n, r)
+    p = 1.0 - 2.0 / r
+    coeffs = profile.coefficients(n)
+    lam = np.cumsum(coeffs ** p) / p
     q = np.arange(1, n + 1)
     pi_q = np.sqrt(c_phi(r) ** 2 + 2.0 * lam[1:])
     log_card = 1.0 + math.log(cardinality)
-    betas = np.array([profile.coefficient(int(i)) for i in q])
+    betas = coeffs[1:]
     vals = (sigma * pi_q * math.sqrt(log_card)
             + b * q * log_card / math.sqrt(n)
             + b * betas * math.sqrt(n))
@@ -168,8 +158,10 @@ def _monotone_envelopes(entropy: EntropyModel, profile: MixingProfile,
                         n: int, r: float, grid: np.ndarray) -> np.ndarray:
     """Non-increasing majorant of R1(u) = Lambda-envelope(u) * (1 + H(u))
     evaluated on an increasing u-grid."""
-    psi = np.array([lambda_phi_beta(profile, tau_q(profile, entropy, d, n), r)
-                    for d in grid])
+    taus = [tau_q(profile, entropy, d, n) for d in grid]
+    # tau takes few distinct values on the grid (1..6 for a fast chain)
+    lam = {t: lambda_phi_beta(profile, t, r) for t in set(taus)}
+    psi = np.array([lam[t] for t in taus])
     psi = np.maximum.accumulate(psi)  # non-decreasing in delta
     h = np.array([entropy_eval(entropy, u) for u in grid])
     r1 = psi * (1.0 + h)

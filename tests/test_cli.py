@@ -1,8 +1,9 @@
 import json
 
+import jsonschema
 import pytest
 
-from mixrate.cli import config_hash, main
+from mixrate.cli import SCHEMAS, config_hash, main
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -96,14 +97,42 @@ class TestSimulateCommand:
                      "--output-dir", str(tmp_path / "o")]) == 2
 
     def test_numerical_failure_exits_3(self, tmp_path):
+        # a periodic chain passes the schema; power iteration for its
+        # stationary law then fails to converge
         cfg_path = write_cfg(tmp_path, "sim.json",
-                             {"dgp": {"generator": "renewal",
-                                      "params": {"tail_exponent": -2.0}},
+                             {"dgp": {"generator": "markov",
+                                      "params": {"transition": [[0.0, 1.0],
+                                                                [1.0, 0.0]],
+                                                 "state_values": [0.2, 0.8]}},
                               "statistic": "ks",
                               "n_grid": [64, 128, 256, 512],
                               "replications": 30, "base_seed": 0})
         assert main(["simulate", "--config", cfg_path,
                      "--output-dir", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("dgp,extra", [
+        ({"generator": "renewal"}, {}),
+        ({"generator": "renewal", "params": {"l_max": 100}}, {}),
+        ({"generator": "renewal", "params": {"tail_exponent": -2.0}}, {}),
+        ({"generator": "renewal", "params": {"tail_exponent": 0.0}}, {}),
+        ({"generator": "ar1", "params": {}}, {}),
+        ({"generator": "ar1", "params": {"a": 1.0}}, {}),
+        ({"generator": "markov", "params": {"transition": [[1.0]]}}, {}),
+        ({"generator": "markov", "params": {"state_values": [0.5]}}, {}),
+        ({"generator": "iid_uniform"}, {"tolerance": -0.1}),
+    ], ids=["renewal_no_params", "renewal_no_tail", "renewal_negative_tail",
+            "renewal_zero_tail", "ar1_no_a", "ar1_unit_root",
+            "markov_no_values", "markov_no_transition", "negative_tolerance"])
+    def test_config_fault_exits_2(self, tmp_path, capsys, dgp, extra):
+        cfg_path = write_cfg(tmp_path, "sim.json",
+                             {"dgp": dgp, "statistic": "ks",
+                              "n_grid": [64, 128, 256, 512],
+                              "replications": 30, "base_seed": 0, **extra})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg_path,
+                     "--output-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMixingEstCommand:
@@ -160,6 +189,11 @@ class TestOutputDirEnv:
         assert main(["rates", "--config", cfg_path]) == 0
         assert (out / "rates.csv").exists()
         assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schema_is_valid_under_its_metaschema(name):
+    jsonschema.Draft202012Validator.check_schema(SCHEMAS[name])
 
 
 class TestConfigHash:

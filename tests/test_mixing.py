@@ -209,3 +209,68 @@ class TestMixingProfile:
                                     values=(1.0, 0.5, 0.25))
         assert prof.coefficient(2) == 0.25
         assert prof.coefficient(3) == 0.0
+
+
+def random_chain(rng, m):
+    P = rng.random((m, m)) + 0.05
+    P /= P.sum(axis=1, keepdims=True)
+    return mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
+                                transition=P,
+                                stationary=mixing.stationary_distribution(P))
+
+
+def scalar_coefficients(prof, q_max):
+    return np.array([prof.coefficient(q) for q in range(q_max + 1)])
+
+
+class TestCoefficientsArray:
+    """coefficients(q_max) must equal the scalar sequence bit for bit."""
+
+    @pytest.mark.parametrize("m", [2, 5, 20, 70])
+    def test_exact_markov_bit_identical(self, m):
+        # q_max = 300 spans the q = 3 shortcut of matrix_power and every
+        # power of two up to 256; the sizes give blocks of 300, 163, 10
+        # and 1 powers
+        rng = np.random.default_rng(m)
+        for prof in (random_chain(rng, m), random_chain(rng, m)):
+            assert np.array_equal(prof.coefficients(300),
+                                  scalar_coefficients(prof, 300))
+
+    def test_exact_markov_matches_exact_beta_markov(self):
+        prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
+                                    transition=P_LAZY, stationary=PI_LAZY)
+        betas = prof.coefficients(40)
+        assert betas.shape == (41,)
+        for q in (0, 1, 2, 3, 4, 7, 8, 31, 32, 40):
+            assert betas[q] == mixing.exact_beta_markov(P_LAZY, PI_LAZY, q)
+
+    @pytest.mark.parametrize("prof", [
+        mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL, scale=1.0,
+                             exponent=0.5),
+        mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL, scale=3.0,
+                             exponent=1.7),
+        mixing.MixingProfile(kind=mixing.ProfileKind.EXPONENTIAL, scale=1.0,
+                             rate=0.3),
+        mixing.MixingProfile(kind=mixing.ProfileKind.EXPONENTIAL, scale=2.5,
+                             rate=0.01),
+    ], ids=["poly", "poly_capped", "exp", "exp_capped"])
+    def test_closed_forms_bit_identical(self, prof):
+        for q_max in (0, 1, 3, 500):
+            assert np.array_equal(prof.coefficients(q_max),
+                                  scalar_coefficients(prof, q_max))
+
+    def test_tabulated_bit_identical_beyond_table(self):
+        for prof in (mixing.MixingProfile(kind=mixing.ProfileKind.TABULATED,
+                                          values=(0.9, 0.5, 0.25, 0.1)),
+                     mixing.MixingProfile.iid()):
+            for q_max in (0, 1, 2, 3, 4, 10):
+                assert np.array_equal(prof.coefficients(q_max),
+                                      scalar_coefficients(prof, q_max))
+
+    def test_negative_q_max_rejected(self):
+        rng = np.random.default_rng(0)
+        for prof in (random_chain(rng, 3), mixing.MixingProfile.iid(),
+                     mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL),
+                     mixing.MixingProfile(kind=mixing.ProfileKind.EXPONENTIAL)):
+            with pytest.raises(ValueError):
+                prof.coefficients(-1)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mixrate import rates
 from mixrate.classes import EntropyModel, entropy_eval
 from mixrate.empirical import slope_fit
-from mixrate.mixing import MixingFlavor, MixingProfile, ProfileKind
+from mixrate.mixing import (MixingFlavor, MixingProfile, ProfileKind,
+                            stationary_distribution)
 from mixrate.rates import (BoundaryParameterError, Regime, ScaleError,
                            application_exponents, boundary_curve, c_phi,
                            finite_class_bound, lambda_phi_beta, main_bound,
@@ -91,6 +92,40 @@ class TestTauQ:
         n = int(rng.integers(10, 5000))
         assert tau_q(prof, ent, delta, n, "scan") == \
             tau_q(prof, ent, delta, n, "bisect")
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000, 20_000, 100_000])
+    def test_galloping_bisect_matches_scan_exact_markov(self, n):
+        rng = np.random.default_rng(n)
+        chains = [np.array([[0.9, 0.1], [0.1, 0.9]]),
+                  np.array([[0.99, 0.01], [0.02, 0.98]])]
+        for _ in range(3):
+            P = rng.random((5, 5)) + 0.05
+            chains.append(P / P.sum(axis=1, keepdims=True))
+        for P in chains:
+            prof = MixingProfile(kind=ProfileKind.EXACT_MARKOV, transition=P,
+                                 stationary=stationary_distribution(P))
+            for delta in (1e-9, 1e-3, 0.1, 1.0):
+                scan = tau_q(prof, self.ENT, delta, n, "scan")
+                assert tau_q(prof, self.ENT, delta, n, "bisect") == scan
+                assert tau_q(prof, self.ENT, delta, n) == scan
+
+    @pytest.mark.parametrize("n", [3, 1000, 20_000, 100_000])
+    def test_galloping_bisect_matches_scan_polynomial(self, n):
+        for expo in (0.2, 0.5, 1.0, 3.0):
+            for delta in (0.01, 0.3, 1.0):
+                scan = tau_q(poly(expo), self.ENT, delta, n, "scan")
+                assert tau_q(poly(expo), self.ENT, delta, n, "bisect") == scan
+                assert tau_q(poly(expo), self.ENT, delta, n) == scan
+
+    @pytest.mark.parametrize("n", [1, 64, 20_000])
+    def test_no_crossing_rejected(self, n):
+        class NeverMixes:  # a corrupt profile: beta_q <= x never holds
+            def coefficient(self, q):
+                return math.nan
+
+        for method in ("scan", "bisect", "auto"):
+            with pytest.raises(ValueError, match="no admissible q"):
+                tau_q(NeverMixes(), self.ENT, 0.5, n, method)
 
     def test_lambda_of_tau_non_decreasing_in_delta(self):
         prof = poly(0.7)
