@@ -123,16 +123,20 @@ SCHEMAS = {
         "properties": {
             "dgp": _DGP_SCHEMA,
             "d": {"type": "integer", "minimum": 2},
-            "beta": {"type": "number"},
+            "beta": {"type": "number", "exclusiveMinimum": 0},
             "n_grid": {"type": "array", "minItems": 4,
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 1},
             "base_seed": {"type": "integer"},
-            "eps_override": {"type": "number"},
-            "k_override": {"type": "integer"},
+            "eps_override": {"type": "number", "exclusiveMinimum": 0},
+            "k_override": {"type": "integer", "minimum": 1},
         },
         "required": ["dgp", "d", "beta", "n_grid", "replications", "base_seed"],
         "additionalProperties": False,
+        # the harness needs d >= 2; the (k_n, eps_n) schedule needs d >= 4
+        # and is skipped only when both overrides are given
+        "if": {"not": {"required": ["eps_override", "k_override"]}},
+        "then": {"properties": {"d": {"minimum": 4}}},
     },
     "verify": {
         "type": "object",

@@ -1,6 +1,9 @@
 """Entropic optimal-transport estimators: log-domain Sinkhorn iterates,
 the debiased Sinkhorn divergence, an exact squared-Wasserstein baseline via
-a shortest-augmenting-path assignment solver, and the comparison harness."""
+a shortest-augmenting-path assignment solver, and the comparison harness.
+
+The transport path uses numpy only: the log-sum-exp is an in-place,
+max-shifted reduction, and importing this module loads no scipy module."""
 
 from __future__ import annotations
 
@@ -10,19 +13,33 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .empirical import generate, slope_fit
 from .rates import ot_schedule
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances, shape (m, n), built a block of rows at a
+    time so the (m, n, d) differences are never held at once. Each entry is
+    the same length-d reduction as the full broadcast, bit for bit."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[0] == 1 and X.ndim == 2 and X.shape != Y.shape and X.shape[1] != Y.shape[1]:
+    if X.shape[1] != Y.shape[1]:
         raise ValueError("dimension mismatch")
-    d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+    m, (n, d) = X.shape[0], Y.shape
+    d2 = np.empty((m, n))
+    b = max(1, 2 ** 16 // max(1, n * d))  # rows per block of ~2^16 entries
+    for i in range(0, m, b):
+        d2[i:i + b] = ((X[i:i + b, None, :] - Y[None]) ** 2).sum(axis=2)
     return d2
+
+
+def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a), axis)), max-shifted so it stays finite; overwrites a."""
+    amax = a.max(axis=axis, keepdims=True)
+    a -= amax
+    np.exp(a, out=a)
+    return np.log(a.sum(axis=axis)) + amax.squeeze(axis)
 
 
 @dataclass(frozen=True)
@@ -54,11 +71,16 @@ def sinkhorn_iterate(state: SinkhornState) -> SinkhornState:
 
     u_i = -eps log( n^{-1} sum_j exp((v_j - c_ij)/eps) ) and symmetrically
     for v with m^{-1}; log-sum-exp is max-shifted so iterates stay finite.
+    Both half-steps share one (m, n) work array.
     """
     eps, cost = state.eps, state.cost
     m, n = cost.shape
-    u = -eps * (logsumexp((state.v[None, :] - cost) / eps, axis=1) - math.log(n))
-    v = -eps * (logsumexp((u[:, None] - cost) / eps, axis=0) - math.log(m))
+    work = np.subtract(state.v[None, :], cost)
+    work /= eps
+    u = -eps * (_logsumexp_inplace(work, axis=1) - math.log(n))
+    np.subtract(u[:, None], cost, out=work)
+    work /= eps
+    v = -eps * (_logsumexp_inplace(work, axis=0) - math.log(m))
     return replace(state, u=u, v=v, k=state.k + 1)
 
 

@@ -169,6 +169,40 @@ class TestOtBenchCommand:
         verdict = json.loads((out / "ot_verdict.json").read_text())
         assert verdict["regime"] == "fast"
 
+    @pytest.mark.parametrize("extra", [
+        {"d": 3},
+        {"d": 3, "k_override": 5},
+        {"d": 3, "eps_override": 0.5},
+        {"beta": 0.0},
+        {"beta": -1.0},
+        {"eps_override": 0.0},
+        {"k_override": 0},
+    ], ids=["d3_no_overrides", "d3_k_only", "d3_eps_only", "zero_beta",
+            "negative_beta", "zero_eps", "zero_k"])
+    def test_config_fault_exits_2(self, tmp_path, capsys, extra):
+        cfg_path = write_cfg(
+            tmp_path, "ot.json",
+            {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
+             "n_grid": [8, 12, 16, 24], "replications": 1, "base_seed": 0,
+             **extra})
+        out = tmp_path / "o"
+        assert main(["ot-bench", "--config", cfg_path,
+                     "--output-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_both_overrides_allow_low_dimension(self, tmp_path):
+        cfg_path = write_cfg(
+            tmp_path, "ot.json",
+            {"dgp": {"generator": "iid_uniform"}, "d": 2, "beta": 3.0,
+             "n_grid": [8, 12, 16, 24], "replications": 1, "base_seed": 0,
+             "eps_override": 0.5, "k_override": 5})
+        out = tmp_path / "out"
+        assert main(["ot-bench", "--config", cfg_path,
+                     "--output-dir", str(out)]) == 0
+        rows = (out / "ot_bench.csv").read_text().strip().splitlines()
+        assert all(r.endswith(",5,0.5") for r in rows[1:])
+
 
 class TestVerifyCommand:
     def test_invariant_bank_passes(self, tmp_path, capsys):

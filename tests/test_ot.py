@@ -1,13 +1,20 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
-from mixrate.ot import (SinkhornState, compare_estimators, exact_w2,
-                        gen_cloud, sinkhorn_divergence, sinkhorn_iterate,
+import mixrate
+from mixrate.ot import (SinkhornState, _logsumexp_inplace, _sq_dists,
+                        compare_estimators, exact_w2, gen_cloud,
+                        sinkhorn_divergence, sinkhorn_iterate,
                         solve_assignment, t_eps_k)
 
 IID_CFG = {"generator": "iid_uniform"}
@@ -64,6 +71,91 @@ class TestSinkhornIterates:
         X = np.array([[0.0], [1000.0]])
         Y = np.array([[500.0], [1500.0]])
         assert math.isfinite(t_eps_k(X, Y, 1e-4, 50))
+
+
+def scipy_sinkhorn_iterate(state):
+    """The iterate written with scipy's log-sum-exp: the reference for the
+    in-place numpy version."""
+    eps, cost = state.eps, state.cost
+    m, n = cost.shape
+    u = -eps * (logsumexp((state.v[None, :] - cost) / eps, axis=1)
+                - math.log(n))
+    v = -eps * (logsumexp((u[:, None] - cost) / eps, axis=0) - math.log(m))
+    return replace(state, u=u, v=v, k=state.k + 1)
+
+
+class TestNumpyLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("shift", [0.0, 1e3, -1e3])
+    def test_matches_scipy(self, axis, shift):
+        rng = np.random.default_rng(11)
+        a = rng.normal(scale=5.0, size=(40, 70))
+        a[::3] += shift  # rows shifted far from the rest
+        ref = logsumexp(a, axis=axis)
+        got = _logsumexp_inplace(a.copy(), axis)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_small_eps_regime(self, axis):
+        # (v - c)/eps at eps = 1e-4 on unit-cube costs: entries down to -4e4,
+        # far below exp's underflow, so only the max shift keeps them finite
+        rng = np.random.default_rng(12)
+        X, Y = rng.random((30, 4)), rng.random((50, 4))
+        a = (rng.normal(size=50)[None, :] - _sq_dists(X, Y)) / 1e-4
+        ref = logsumexp(a, axis=axis)
+        got = _logsumexp_inplace(a.copy(), axis)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [1.0, 0.05, 1e-4])
+    def test_fifty_iterates_match_scipy_reference(self, eps):
+        rng = np.random.default_rng(13)
+        X, Y = rng.random((40, 3)), rng.random((55, 3))
+        ours = ref = SinkhornState.init(X, Y, eps)
+        for _ in range(50):
+            ours, ref = sinkhorn_iterate(ours), scipy_sinkhorn_iterate(ref)
+        assert ours.k == ref.k == 50
+        scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.v)))
+        assert np.max(np.abs(ours.u - ref.u)) <= 1e-12 * scale
+        assert np.max(np.abs(ours.v - ref.v)) <= 1e-12 * scale
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_bit_identical_to_full_broadcast(self, d):
+        rng = np.random.default_rng(d)
+        # one point, one block, and row counts that are not a multiple of
+        # the row block of 2**16 // (n * d) rows
+        for m, n in [(1, 9), (7, 5), (129, 512), (1000, 3), (37, 1777)]:
+            X, Y = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+            full = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(_sq_dists(X, Y), full)
+
+    def test_dimension_mismatch_raises(self):
+        X, Y = np.zeros((5, 1)), np.zeros((6, 3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            SinkhornState.init(X, Y, 0.5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            SinkhornState.init(Y, X, 0.5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            exact_w2(np.zeros((6, 1)), Y)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(mixrate.__file__))
+    code = ("import sys\n"
+            "import mixrate, mixrate.cli\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+            "from mixrate.classes import gaussian_cdf\n"
+            "g = gaussian_cdf()\n"
+            "assert abs(g.cdf(0.0) - 0.5) < 1e-15\n"
+            "assert abs(g.quantile(0.975) - 1.959963984540054) < 1e-12\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 class TestSinkhornAgainstScalarReference:
