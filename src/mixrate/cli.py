@@ -244,14 +244,14 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> None:
 
 def _cmd_mixing_est(cfg: dict, outdir: Path) -> None:
     sample = empirical.generate(cfg["dgp"], cfg["n"], cfg["seed"])
+    estimates = mixing.estimate_beta_binning(sample, cfg["q_grid"], cfg["m_bins"])
+    prof = sample.mixing_oracle
     rows = []
-    for q in cfg["q_grid"]:
-        est = mixing.estimate_beta_binning(sample, q, cfg["m_bins"])
+    for q, est in zip(cfg["q_grid"], estimates):
         exact = ""
-        prof = sample.mixing_oracle
         if prof is not None and prof.kind == mixing.ProfileKind.EXACT_MARKOV:
             exact = mixing.exact_beta_markov(prof.transition, prof.stationary, q)
-        rows.append([q, est, exact])
+        rows.append([q, float(est), exact])
     atomic_write(outdir / "mixing_est.csv",
                  _csv_text(["q", "estimate", "exact"], rows))
 
@@ -330,6 +330,19 @@ def _cmd_verify(cfg: dict, outdir: Path) -> None:
         raise FloatingPointError(f"{failed} invariant checks failed")
 
 
+def _check_semantics(command: str, cfg: dict) -> None:
+    """Config faults the schemas cannot express; raises ValueError."""
+    dgp = cfg.get("dgp", {})
+    if dgp.get("generator") == "markov":
+        transition = mixing._check_stochastic(dgp["params"]["transition"])
+        state_values = np.asarray(dgp["params"]["state_values"], dtype=float)
+        if state_values.shape != transition.shape[:1]:
+            raise mixing.ConstructionError(
+                "state_values length must match transition size")
+    if command == "ot-bench" and not ("eps_override" in cfg and "k_override" in cfg):
+        rates.ot_schedule(cfg["beta"], cfg["d"], min(cfg["n_grid"]))
+
+
 _COMMANDS = {"rates": _cmd_rates, "phase": _cmd_phase, "simulate": _cmd_simulate,
              "mixing-est": _cmd_mixing_est, "ot-bench": _cmd_ot_bench,
              "verify": _cmd_verify}
@@ -353,7 +366,8 @@ def main(argv: list[str] | None = None) -> int:
         # the schemas are constants: the tests check them against the
         # metaschema, a check that would cost every run milliseconds
         jsonschema.Draft202012Validator(SCHEMAS[schema_key]).validate(cfg)
-    except (OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
+        _check_semantics(args.command, cfg)
+    except (OSError, ValueError, jsonschema.ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "."))

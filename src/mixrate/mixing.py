@@ -8,10 +8,11 @@ describing the decay of its dependence coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -167,6 +168,42 @@ class SequenceSample:
         return len(self.values)
 
 
+# state-map entries per chunk of gen_finite_markov's doubling scan: a chunk
+# of 2**14 // m steps holds one map over the m states per step, so memory
+# stays bounded as m grows (2**13 steps for two states); the scan costs
+# O(m log chunk) per step against the O(log m) of a per-step loop
+_MARKOV_SCAN_CELLS = 2**14
+
+
+def _inverse_cdf(p: np.ndarray) -> np.ndarray:
+    """CDFs along the last axis with the last entry pinned to 1.0.
+
+    Rows may sum to 1 within the stochasticity tolerance; pinning makes an
+    inverse-CDF draw ``searchsorted(cdf, u)`` with u < 1 land on a state.
+    """
+    cdf = np.cumsum(p, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def _markov_steps(row_cdf: np.ndarray, state: int, u: np.ndarray) -> np.ndarray:
+    """States after each of len(u) steps from ``state``.
+
+    Step i maps s to ``searchsorted(row_cdf[s], u[i])``.  Row i of ``g``
+    holds step i's map over all m states; log2(len(u)) Hillis-Steele rounds
+    turn row i into the composition of the maps of steps 0..i, so the path
+    is the column of the starting state.
+    """
+    g = np.empty((len(u), len(row_cdf)), dtype=np.intp)
+    for s, row in enumerate(row_cdf):
+        g[:, s] = row.searchsorted(u)
+    k = 1
+    while k < len(u):
+        g[k:] = np.take_along_axis(g[k:], g[:-k], axis=1)
+        k *= 2
+    return g[:, state]
+
+
 def gen_finite_markov(transition, state_values, n: int, seed: int) -> SequenceSample:
     """Stationary finite-state Markov trajectory mapped through state values."""
     transition = _check_stochastic(transition)
@@ -177,18 +214,19 @@ def gen_finite_markov(transition, state_values, n: int, seed: int) -> SequenceSa
         raise ConstructionError("state_values length must match transition size")
     pi = stationary_distribution(transition)
     rng = np.random.default_rng(seed)
-    m = transition.shape[0]
-    states = np.empty(n, dtype=np.int64)
     # inverse-CDF sampling against precomputed row CDFs
-    row_cdf = np.cumsum(transition, axis=1)
-    states[0] = np.searchsorted(np.cumsum(pi), rng.random())
-    u = rng.random(n - 1)
-    for i in range(1, n):
-        states[i] = np.searchsorted(row_cdf[states[i - 1]], u[i - 1])
-    states = np.minimum(states, m - 1)
+    row_cdf = _inverse_cdf(transition)
+    state = int(np.searchsorted(_inverse_cdf(pi), rng.random()))
+    values = np.empty(n)
+    values[0] = state_values[state]
+    chunk = max(1, _MARKOV_SCAN_CELLS // len(state_values))
+    for start in range(1, n, chunk):
+        path = _markov_steps(row_cdf, state, rng.random(min(chunk, n - start)))
+        values[start:start + len(path)] = state_values[path]
+        state = path[-1]
     oracle = MixingProfile(kind=ProfileKind.EXACT_MARKOV, flavor=MixingFlavor.BETA,
                            transition=transition, stationary=pi)
-    return SequenceSample(values=state_values[states], generator_id="finite_markov",
+    return SequenceSample(values=values, generator_id="finite_markov",
                           params={"transition": transition.tolist(),
                                   "state_values": state_values.tolist(), "n": n},
                           seed=seed, mixing_oracle=oracle)
@@ -204,6 +242,27 @@ def _residual_life_pmf(pmf: np.ndarray) -> np.ndarray:
     # stationary residual-life law: P(R = j) = P(L >= j) / E[L]
     tail = pmf[::-1].cumsum()[::-1]
     return tail / tail.sum()
+
+
+@functools.lru_cache(maxsize=8)
+def _renewal_tables(tail_exponent: float, l_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(block-length CDF, residual-life CDF, mean block length).
+
+    The CDFs are read-only and built as ``Generator.choice(p=)`` builds
+    them (cumsum divided by its last entry), so ``cdf.searchsorted(
+    rng.random(size), side="right")`` draws what ``choice`` draws, from
+    the same stream.  ``choice``'s check of p runs here, once per key.
+    """
+    pmf = _block_length_pmf(tail_exponent, l_max)
+    tables = []
+    for p in (pmf, _residual_life_pmf(pmf)):
+        if not (np.all(p >= 0) and abs(math.fsum(p) - 1.0) <= np.sqrt(np.finfo(float).eps)):
+            raise ConstructionError("block-length law is not a probability vector")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        tables.append(cdf)
+    return tables[0], tables[1], float(np.arange(1, l_max + 1) @ pmf)
 
 
 def gen_renewal_chain(tail_exponent: float, l_max: int, n: int, seed: int) -> SequenceSample:
@@ -222,16 +281,16 @@ def gen_renewal_chain(tail_exponent: float, l_max: int, n: int, seed: int) -> Se
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pmf = _block_length_pmf(tail_exponent, l_max)
-    lengths = [int(rng.choice(l_max, p=_residual_life_pmf(pmf)) + 1)]
-    total = lengths[0]
-    mean_len = float(np.arange(1, l_max + 1) @ pmf)
+    length_cdf, residual_cdf, mean_len = _renewal_tables(tail_exponent, l_max)
+    first = int(residual_cdf.searchsorted(rng.random(), side="right")) + 1
+    batches = [np.array([first])]
+    total = first
     while total < n:
         want = max(16, int((n - total) / mean_len * 1.5) + 8)
-        batch = rng.choice(l_max, size=want, p=pmf) + 1
-        lengths.extend(int(b) for b in batch)
+        batch = length_cdf.searchsorted(rng.random(want), side="right") + 1
+        batches.append(batch)
         total += int(batch.sum())
-    lengths = np.asarray(lengths)
+    lengths = np.concatenate(batches)
     vals = rng.random(len(lengths))
     series = np.repeat(vals, lengths)[:n]
     oracle = MixingProfile(kind=ProfileKind.POLYNOMIAL, flavor=MixingFlavor.BETA,
@@ -349,34 +408,44 @@ def _exact_beta_markov_sequence(transition: np.ndarray, pi: np.ndarray,
 
 
 def _rank_bins(values: np.ndarray, m_bins: int) -> np.ndarray:
-    # equal-frequency binning; ties broken by original index (stable sort)
+    # equal-frequency binning: the value of rank r goes to bin r * m_bins // n,
+    # i.e. bin b holds ranks ceil(b n / m_bins) .. ceil((b + 1) n / m_bins) - 1;
+    # ties broken by original index (stable sort)
     n = len(values)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n)
-    return (ranks * m_bins) // n
+    bins = np.empty(n, dtype=np.int64)
+    for b in range(m_bins):
+        bins[order[-(-b * n // m_bins):-(-(b + 1) * n // m_bins)]] = b
+    return bins
 
 
-def estimate_beta_binning(sample: SequenceSample, q: int, m_bins: int) -> float:
+def estimate_beta_binning(sample: SequenceSample, q: int | Sequence[int],
+                          m_bins: int) -> float | np.ndarray:
     """Binning estimate of the beta coefficient at gap q.
 
     Half-L1 distance between the empirical joint of (X_0, X_q) over an
     equal-frequency binning and the product of the binned marginals.  This
     is a lower-bound proxy for the full sigma-field coefficient: it only
-    sees the two-coordinate, binned dependence.
+    sees the two-coordinate, binned dependence.  ``q`` is an int (the
+    estimate is a float) or a 1-D grid of gaps (an array of estimates, the
+    sample ranked once).
     """
     values = np.asarray(sample.values, dtype=float)
     n = len(values)
     if n < 10 * m_bins * m_bins:
         raise EstimationError(
             f"need n >= {10 * m_bins * m_bins} observations for m_bins={m_bins}, got {n}")
-    if q >= n // 2:
+    gaps = np.atleast_1d(q)
+    if np.any(gaps >= n // 2):
         raise EstimationError("gap q must be < n/2")
     bins = _rank_bins(values, m_bins)
-    a, b = bins[: n - q], bins[q:]
-    joint = np.zeros((m_bins, m_bins))
-    np.add.at(joint, (a, b), 1.0)
-    joint /= joint.sum()
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    return float(0.5 * np.abs(joint - np.outer(pa, pb)).sum())
+    out = np.empty(len(gaps))
+    for j, gap in enumerate(gaps):
+        a, b = bins[: n - gap], bins[gap:]
+        joint = np.zeros((m_bins, m_bins))
+        np.add.at(joint, (a, b), 1.0)
+        joint /= joint.sum()
+        pa = joint.sum(axis=1)
+        pb = joint.sum(axis=0)
+        out[j] = 0.5 * np.abs(joint - np.outer(pa, pb)).sum()
+    return float(out[0]) if np.ndim(q) == 0 else out

@@ -170,6 +170,99 @@ class TestSupLipschitzW1:
             sup_lipschitz_w1(rng.permutation(s), o), abs=1e-12)
 
 
+def loop_sup_lipschitz_w1(sample, quantile, antideriv, support):
+    # reference: one scalar segment integral at a time, summed in order;
+    # quantile and antideriv are scalar callables
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = len(x)
+    knots = np.concatenate(([support[0]], x, [support[1]]))
+    total = 0.0
+    for i in range(len(knots) - 1):
+        a, b, level = knots[i], knots[i + 1], i / n
+        if b <= a:
+            continue
+        xc = min(max(float(quantile(level)), a), b) if 0.0 < level < 1.0 else (
+            a if level <= 0.0 else b)
+        left = level * (xc - a) - (antideriv(xc) - antideriv(a))
+        right = (antideriv(b) - antideriv(xc)) - level * (b - xc)
+        total += max(left, 0.0) + max(right, 0.0)
+    return math.sqrt(n) * total
+
+
+def scalar_uniform01_antideriv(x):
+    return 0.0 if x <= 0 else (0.5 * x * x if x < 1 else 0.5 + (x - 1))
+
+
+def scalar_discrete(atoms):
+    a = np.sort(np.asarray(atoms, dtype=float))
+    n = len(a)
+
+    def quantile(u):
+        return float(a[min(max(int(math.ceil(u * n)) - 1, 0), n - 1)])
+
+    def antideriv(x):
+        below = a[a <= x]
+        return float((x * len(below) - below.sum()) / n)
+    return quantile, antideriv
+
+
+W1_SAMPLES = {
+    "n1_median": [0.5],
+    "n1_at_zero": [0.0],
+    "n1_at_one": [1.0],
+    "ends_and_ties": [0.0, 0.0, 0.3, 0.3, 0.3, 0.7, 1.0, 1.0],
+    "all_tied": [0.25] * 6,
+    "random_512": list(np.random.default_rng(3).random(512)),
+    "random_ties_1000": list(np.round(np.random.default_rng(4).random(1000), 2)),
+}
+
+
+class TestArrayOracles:
+    """Array-valued oracles and the one-pass W1 against the scalar loop."""
+
+    @pytest.mark.parametrize("name", sorted(W1_SAMPLES))
+    def test_w1_uniform_bit_identical(self, name):
+        sample = W1_SAMPLES[name]
+        ref = loop_sup_lipschitz_w1(sample, float, scalar_uniform01_antideriv, (0.0, 1.0))
+        got = sup_lipschitz_w1(sample, uniform01_cdf())
+        assert type(got) is float and got == ref
+
+    @pytest.mark.parametrize("name", sorted(W1_SAMPLES))
+    def test_w1_discrete_matches_loop(self, name):
+        atoms = [0.0, 0.1, 0.1, 0.45, 0.8, 1.0]
+        sample = W1_SAMPLES[name]
+        ref = loop_sup_lipschitz_w1(sample, *scalar_discrete(atoms), (0.0, 1.0))
+        assert sup_lipschitz_w1(sample, discrete_cdf(atoms)) == pytest.approx(
+            ref, rel=1e-12, abs=1e-12)
+
+    def test_elementwise_equals_scalar(self):
+        x = np.array([-0.5, 0.0, 1e-9, 0.1, 0.1, 0.45, 0.5, 0.99, 1.0, 1.5])
+        u = np.array([0.0, 1e-9, 0.1, 1 / 6, 0.5, 0.999, 1.0])
+        o = uniform01_cdf()
+        assert np.array_equal(o.cdf_antideriv(x), [scalar_uniform01_antideriv(v) for v in x])
+        assert np.array_equal(o.quantile(u), u)
+        atoms = [0.45, 0.1, 0.0, 0.1, 1.0, 0.8]
+        d = discrete_cdf(atoms)
+        quantile, antideriv = scalar_discrete(atoms)
+        assert np.array_equal(d.quantile(u), [quantile(v) for v in u])
+        np.testing.assert_allclose(d.cdf_antideriv(x), [antideriv(v) for v in x],
+                                   rtol=1e-12, atol=1e-12)
+        g = gaussian_cdf()
+        assert np.array_equal(g.quantile(u[1:-1]), [g.quantile(v) for v in u[1:-1]])
+        assert np.array_equal(g.cdf_antideriv(x), [g.cdf_antideriv(v) for v in x])
+
+    def test_random_lipschitz01_single_cumsum(self):
+        grid = np.linspace(0.0, 1.0, 17)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            h = np.diff(grid)
+            slopes = rng.uniform(-1.0, 1.0, size=len(h))
+            vals = np.concatenate(([rng.random()], np.cumsum(slopes * h)))
+            vals = vals[0] + np.concatenate(([0.0], np.cumsum(slopes * h)))
+            ref = np.clip(vals, 0.0, 1.0)
+            assert np.array_equal(random_lipschitz01(np.random.default_rng(seed), grid), ref)
+
+
 class TestBracketNets:
     def test_delta_one_single_envelope(self):
         net = build_bracket_net("monotone01", 1.0, 8)

@@ -153,6 +153,36 @@ class TestMixingEstCommand:
         assert all(len(r.split(",")) == 3 and r.split(",")[2] for r in rows[1:])
 
 
+class TestSemanticConfigFaults:
+    """Faults the schemas cannot express exit 2 before anything is written."""
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", {"dgp": {"generator": "markov",
+                              "params": {"transition": [[0.5, 0.6], [0.5, 0.5]],
+                                         "state_values": [0.2, 0.8]}},
+                      "statistic": "ks", "n_grid": [64, 128, 256, 512],
+                      "replications": 30, "base_seed": 0}),
+        ("mixing-est", {"dgp": {"generator": "markov",
+                                "params": {"transition": [[0.9, 0.1], [0.2, 0.8]],
+                                           "state_values": [0.2, 0.5, 0.8]}},
+                        "n": 5000, "q_grid": [1, 5], "m_bins": 2, "seed": 3}),
+        ("mixing-est", {"dgp": {"generator": "markov",
+                                "params": {"transition": [[0.9, 0.1], [0.2]],
+                                           "state_values": [0.2, 0.8]}},
+                        "n": 5000, "q_grid": [1, 5], "m_bins": 2, "seed": 3}),
+        ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 1.0,
+                      "n_grid": [8, 12, 16, 24], "replications": 1,
+                      "base_seed": 0, "k_override": 5}),
+    ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
+            "beta_at_regime_boundary"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
+        cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOtBenchCommand:
     def test_small_benchmark(self, tmp_path):
         cfg_path = write_cfg(

@@ -42,6 +42,114 @@ class TestGenFiniteMarkov:
             mixing.gen_finite_markov(P, np.array([0.0, 1.0]), 10, seed=0)
 
 
+def loop_gen_finite_markov(transition, state_values, n, seed):
+    # reference: one inverse-CDF searchsorted per step in a Python loop
+    rng = np.random.default_rng(seed)
+    m = transition.shape[0]
+    states = np.empty(n, dtype=np.int64)
+    row_cdf = np.cumsum(transition, axis=1)
+    states[0] = np.searchsorted(np.cumsum(mixing.stationary_distribution(transition)),
+                                rng.random())
+    u = rng.random(n - 1)
+    for i in range(1, n):
+        states[i] = np.searchsorted(row_cdf[states[i - 1]], u[i - 1])
+    states = np.minimum(states, m - 1)
+    return np.asarray(state_values, dtype=float)[states]
+
+
+class TestMarkovScan:
+    """The chunked doubling scan must reproduce the per-step loop bit for bit."""
+
+    @staticmethod
+    def check(m, n):
+        rng = np.random.default_rng(m)
+        P = rng.random((m, m)) + 0.05
+        np.fill_diagonal(P, P.diagonal() + 0.5)
+        P /= P.sum(axis=1, keepdims=True)
+        values = rng.normal(size=m)
+        for seed in (0, 17):
+            got = mixing.gen_finite_markov(P, values, n, seed).values
+            assert np.array_equal(got, loop_gen_finite_markov(P, values, n, seed))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    @pytest.mark.parametrize("n", [1, 2, 2**13, 2**13 + 1, 2**13 + 2, 40000])
+    def test_bit_identical_to_loop(self, m, n):
+        self.check(m, n)
+
+    @pytest.mark.parametrize("m", [3, 9, 40])
+    def test_bit_identical_at_chunk_boundaries(self, m):
+        # n - 1 steps in chunks of _MARKOV_SCAN_CELLS // m: one full chunk,
+        # then a full chunk and one step, then two full chunks
+        chunk = mixing._MARKOV_SCAN_CELLS // m
+        for n in (chunk + 1, chunk + 2, 2 * chunk + 1):
+            self.check(m, n)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4097, 2**13])
+    def test_scan_composes_every_step(self, steps):
+        # random chains coalesce (every start state reaches the same state)
+        # within a few steps, which hides a scan that drops early steps; the
+        # maps of a deterministic 3-cycle never coalesce
+        row_cdf = mixing._inverse_cdf(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                                [1.0, 0.0, 0.0]]))
+        u = np.random.default_rng(steps).random(steps)
+        for state in (0, 1, 2):
+            path = mixing._markov_steps(row_cdf, state, u)
+            assert np.array_equal(path, (state + 1 + np.arange(steps)) % 3)
+
+    def test_draw_at_short_row_sum_stays_in_range(self):
+        # the stochasticity check admits rows summing to 1 - 1e-12; a draw
+        # u above the row's last cumulative entry must land on the last state
+        P = np.array([[0.5, 0.5 - 5e-13], [0.25, 0.75]])
+        assert mixing._check_stochastic(P) is not None
+        row_cdf = mixing._inverse_cdf(P)
+        u = np.full(5, 1 - 1e-13)
+        for state in (0, 1):
+            path = mixing._markov_steps(row_cdf, state, u)
+            assert np.array_equal(path, [1, 1, 1, 1, 1])
+        pi_cdf = mixing._inverse_cdf(np.array([0.3, 0.7 - 5e-13]))
+        assert np.searchsorted(pi_cdf, 1 - 1e-13) == 1
+
+
+def loop_gen_renewal_chain(tail_exponent, l_max, n, seed):
+    # reference: block lengths drawn by Generator.choice(p=)
+    rng = np.random.default_rng(seed)
+    pmf = mixing._block_length_pmf(tail_exponent, l_max)
+    lengths = [int(rng.choice(l_max, p=mixing._residual_life_pmf(pmf)) + 1)]
+    total = lengths[0]
+    mean_len = float(np.arange(1, l_max + 1) @ pmf)
+    while total < n:
+        want = max(16, int((n - total) / mean_len * 1.5) + 8)
+        batch = rng.choice(l_max, size=want, p=pmf) + 1
+        lengths.extend(int(b) for b in batch)
+        total += int(batch.sum())
+    lengths = np.asarray(lengths)
+    return np.repeat(rng.random(len(lengths)), lengths)[:n]
+
+
+class TestRenewalTables:
+    @pytest.mark.parametrize("tail,l_max", [(0.5, 10**5), (2.0, 100), (0.3, 10),
+                                            (0.5, 1)])
+    @pytest.mark.parametrize("n", [1, 10, 1000, 16384])
+    def test_bit_identical_to_choice(self, tail, l_max, n):
+        for seed in (0, 1, 2):
+            got = mixing.gen_renewal_chain(tail, l_max, n, seed).values
+            assert np.array_equal(got, loop_gen_renewal_chain(tail, l_max, n, seed))
+
+    def test_tables_are_read_only_and_cached(self):
+        length_cdf, residual_cdf, mean_len = mixing._renewal_tables(0.5, 100)
+        for cdf in (length_cdf, residual_cdf):
+            assert not cdf.flags.writeable
+            with pytest.raises(ValueError):
+                cdf[0] = 0.0
+            assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+        assert mixing._renewal_tables(0.5, 100)[0] is length_cdf
+        assert 1.0 <= mean_len <= 100.0
+
+    def test_nan_tail_rejected(self):
+        with pytest.raises(mixing.ConstructionError):
+            mixing.gen_renewal_chain(float("nan"), 10, 10, seed=0)
+
+
 class TestGenRenewalChain:
     def test_lmax_one_is_iid_uniform(self):
         s = mixing.gen_renewal_chain(0.5, 1, 2000, seed=5)
@@ -141,6 +249,25 @@ class TestExactBetaMarkov:
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(5))
 
 
+def loop_rank_bins(values, m_bins):
+    # reference: bin = rank * m_bins // n over full-length rank arrays
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n)
+    return (ranks * m_bins) // n
+
+
+def loop_estimate_beta_binning(values, q, m_bins):
+    n = len(values)
+    bins = loop_rank_bins(values, m_bins)
+    joint = np.zeros((m_bins, m_bins))
+    np.add.at(joint, (bins[: n - q], bins[q:]), 1.0)
+    joint /= joint.sum()
+    return float(0.5 * np.abs(joint - np.outer(joint.sum(axis=1),
+                                                 joint.sum(axis=0))).sum())
+
+
 class TestEstimateBetaBinning:
     def test_iid_uniform_near_zero(self):
         s = mixing.gen_iid_uniform(10**5, seed=3)
@@ -159,6 +286,30 @@ class TestEstimateBetaBinning:
             est = mixing.estimate_beta_binning(s, q, 2)
             assert est == pytest.approx(mixing.exact_beta_markov(P_LAZY, PI_LAZY, q),
                                         abs=0.05)
+
+    def test_q_grid_equals_scalar_calls(self):
+        s = mixing.gen_finite_markov(np.array([[0.8, 0.2, 0.0], [0.1, 0.6, 0.3],
+                                               [0.3, 0.0, 0.7]]),
+                                     np.array([0.1, 0.5, 0.9]), 5003, seed=2)
+        grid = [1, 2, 5, 13, 40, 2500]
+        for m_bins in (2, 3, 7):
+            est = mixing.estimate_beta_binning(s, grid, m_bins)
+            assert isinstance(est, np.ndarray) and est.shape == (len(grid),)
+            scalar = [mixing.estimate_beta_binning(s, q, m_bins) for q in grid]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(est, scalar)
+            assert np.array_equal(est, [loop_estimate_beta_binning(s.values, q, m_bins)
+                                        for q in grid])
+        with pytest.raises(mixing.EstimationError, match="n/2"):
+            mixing.estimate_beta_binning(s, [1, 2501], 2)
+
+    @pytest.mark.parametrize("n", [20, 999, 1000, 1003])
+    @pytest.mark.parametrize("m_bins", [2, 3, 7])
+    def test_rank_bins_match_rank_formula(self, n, m_bins):
+        # ties (few distinct values) and n not divisible by m_bins
+        values = np.random.default_rng(n).integers(0, 4, n).astype(float)
+        assert np.array_equal(mixing._rank_bins(values, m_bins),
+                              loop_rank_bins(values, m_bins))
 
     def test_too_few_observations(self):
         s = mixing.gen_iid_uniform(100, seed=0)
