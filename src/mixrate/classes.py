@@ -286,8 +286,10 @@ def _count_monotone_staircases(m: int, p: int) -> int:
     return math.comb(m + p, p)
 
 
-def build_bracket_net(class_id: str, delta: float, grid_size: int,
-                      materialize_limit: int = 20_000) -> BracketNet:
+_MATERIALIZE_LIMIT = 20_000
+
+
+def build_bracket_net(class_id: str, delta: float, grid_size: int) -> BracketNet:
     """Construct a delta-bracketing net on a uniform grid.
 
     For ``monotone01`` every bracket pair has L2(uniform-on-grid) width
@@ -315,7 +317,7 @@ def build_bracket_net(class_id: str, delta: float, grid_size: int,
     else:
         raise ValueError(f"unknown class_id {class_id!r}")
     net = BracketNet(class_id, delta, grid, q, count, None)
-    if count <= materialize_limit:
+    if count <= _MATERIALIZE_LIMIT:
         pairs = _materialize(net, p)
         net = BracketNet(class_id, delta, grid, q, count, pairs)
     return net

@@ -246,12 +246,11 @@ def _cmd_mixing_est(cfg: dict, outdir: Path) -> None:
     sample = empirical.generate(cfg["dgp"], cfg["n"], cfg["seed"])
     estimates = mixing.estimate_beta_binning(sample, cfg["q_grid"], cfg["m_bins"])
     prof = sample.mixing_oracle
-    rows = []
-    for q, est in zip(cfg["q_grid"], estimates):
-        exact = ""
-        if prof is not None and prof.kind == mixing.ProfileKind.EXACT_MARKOV:
-            exact = mixing.exact_beta_markov(prof.transition, prof.stationary, q)
-        rows.append([q, float(est), exact])
+    exact = [""] * len(estimates)
+    if prof is not None and prof.kind == mixing.ProfileKind.EXACT_MARKOV:
+        exact = mixing.exact_beta_markov(prof.transition, prof.stationary,
+                                         cfg["q_grid"]).tolist()
+    rows = [[q, float(est), ex] for q, est, ex in zip(cfg["q_grid"], estimates, exact)]
     atomic_write(outdir / "mixing_est.csv",
                  _csv_text(["q", "estimate", "exact"], rows))
 
@@ -339,6 +338,8 @@ def _check_semantics(command: str, cfg: dict) -> None:
         if state_values.shape != transition.shape[:1]:
             raise mixing.ConstructionError(
                 "state_values length must match transition size")
+    if command == "mixing-est":
+        mixing._check_binning(cfg["n"], np.asarray(cfg["q_grid"]), cfg["m_bins"])
     if command == "ot-bench" and not ("eps_override" in cfg and "k_override" in cfg):
         rates.ot_schedule(cfg["beta"], cfg["d"], min(cfg["n_grid"]))
 

@@ -137,8 +137,10 @@ def slope_fit(pairs, standard_errors=None) -> SlopeFit:
 # Variance-bound audit on exact finite chains
 
 
-def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float,
-                       rel_tol: float = 1e-10) -> float:
+_ORLICZ_REL_TOL = 1e-10
+
+
+def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> float:
     """Gauge norm inf{t > 0 : E (h/t)^r <= 1} on a finite distribution,
     located by bisection on t (equals the L_r norm for the power family)."""
     if r <= 2:
@@ -157,7 +159,7 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float,
         hi *= 2.0
     while ok(lo):
         lo /= 2.0
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + _ORLICZ_REL_TOL:
         mid = math.sqrt(lo * hi)
         if ok(mid):
             hi = mid

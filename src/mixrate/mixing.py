@@ -50,8 +50,11 @@ def _check_stochastic(transition: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return transition
 
 
-def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
-                            max_iter: int = 200_000) -> np.ndarray:
+_POWER_TOL = 1e-12
+_POWER_MAX_ITER = 200_000
+
+
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix by power iteration.
 
     Non-convergence (reducible or periodic chain without a unique
@@ -63,9 +66,9 @@ def stationary_distribution(transition: np.ndarray, tol: float = 1e-12,
     # starting at the fixed point
     pi = np.arange(1, m + 1, dtype=float)
     pi /= pi.sum()
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         nxt = pi @ transition
-        if np.abs(nxt - pi).max() < tol:
+        if np.abs(nxt - pi).max() < _POWER_TOL:
             pi = nxt
             break
         pi = nxt
@@ -137,16 +140,17 @@ class MixingProfile:
         """The sequence coefficient(0), ..., coefficient(q_max) as an array.
 
         Entry q equals ``coefficient(q)`` bit for bit.  For exact Markov
-        chains the matrix powers are built once, in the multiplication order
-        of ``np.linalg.matrix_power``, from the O(log q_max) repeated
-        squares; that turns the O(q_max) matrix powers of a scalar loop into
-        O(q_max log q_max) small products.  The other kinds are cheap per
-        entry and evaluate the scalar formula.
+        chains one grid call of :func:`exact_beta_markov` shares the
+        O(log q_max) repeated squares among all gaps, which turns the O(q_max)
+        matrix powers of a scalar loop into O(q_max log q_max) small
+        products.  The other kinds are cheap per entry and evaluate the
+        scalar formula.
         """
         if q_max < 0:
             raise ValueError("q_max must be >= 0")
         if self.kind == ProfileKind.EXACT_MARKOV:
-            return _exact_beta_markov_sequence(self.transition, self.stationary, q_max)
+            return exact_beta_markov(self.transition, self.stationary,
+                                     np.arange(q_max + 1))
         return np.array([self.coefficient(q) for q in range(q_max + 1)])
 
     @staticmethod
@@ -309,17 +313,10 @@ def renewal_age_value_chain(tail_exponent: float, l_max: int, n_values: int):
     """
     pmf = _block_length_pmf(tail_exponent, l_max)
     resid = _residual_life_pmf(pmf)
-    m = l_max * n_values
-    trans = np.zeros((m, m))
-    for r in range(1, l_max + 1):
-        for v in range(n_values):
-            s = (r - 1) * n_values + v
-            if r > 1:
-                trans[s, (r - 2) * n_values + v] = 1.0
-            else:
-                for rl in range(1, l_max + 1):
-                    for vn in range(n_values):
-                        trans[s, (rl - 1) * n_values + vn] = pmf[rl - 1] / n_values
+    # residual r > 1 steps down to r - 1 keeping its value; residual 1 starts
+    # a fresh block, of residual life L ~ pmf and an independent value
+    trans = np.eye(l_max * n_values, k=-n_values)
+    trans[:n_values] = np.repeat(pmf / n_values, n_values)
     pi = np.repeat(resid, n_values) / n_values
     state_values = np.tile((np.arange(n_values) + 0.5) / n_values, l_max)
     return trans, pi, state_values
@@ -353,58 +350,49 @@ def gen_iid_uniform(n: int, seed: int) -> SequenceSample:
                           params={"n": n}, seed=seed, mixing_oracle=MixingProfile.iid())
 
 
-def exact_beta_markov(transition, stationary, q: int) -> float:
+def exact_beta_markov(transition, stationary,
+                      q: int | Sequence[int]) -> float | np.ndarray:
     """Exact beta coefficient of a stationary finite chain at gap q.
 
     Uses the two-coordinate identity for stationary Markov chains:
-    beta_q = sum_x pi(x) * TV(P^q(x, .), pi), with TV the half-L1 distance.
-    Returns 1 at q = 0 by convention.
+    beta_q = sum_x pi(x) * TV(P^q(x, .), pi), with TV the half-L1 distance,
+    and 1 at q = 0 by convention.  ``q`` is an int (a float is returned) or
+    a 1-D grid of gaps in any order (an array).  P^q is formed in the order
+    of ``np.linalg.matrix_power``, so the rounding matches it: the product
+    of the repeated squares P^(2^k) over the set bits k of q, low bits
+    first, except P^3 = (P @ P) @ P.  The row TV distances are reduced a
+    block of at most 4096 matrix entries at a time.
     """
-    if q < 0:
+    # Python ints keep a scalar call (tau_q makes thousands) close to the
+    # cost of its matrix products
+    gaps = np.atleast_1d(q).tolist()
+    if min(gaps, default=0) < 0:
         raise ValueError("gap q must be >= 0")
-    if q == 0:
-        return 1.0
     transition = _check_stochastic(transition)
     pi = np.asarray(stationary, dtype=float)
-    pq = np.linalg.matrix_power(transition, q)
-    tv_rows = 0.5 * np.abs(pq - pi[None, :]).sum(axis=1)
-    return float(pi @ tv_rows)
-
-
-def _exact_beta_markov_sequence(transition: np.ndarray, pi: np.ndarray,
-                                q_max: int) -> np.ndarray:
-    """[exact_beta_markov(P, pi, q) for q in 0..q_max], equal bit for bit.
-
-    ``np.linalg.matrix_power`` forms P^q as ((Z_{k0} @ Z_{k1}) @ ...) over
-    the set bits k0 < k1 < ... of q, with Z_k = P^(2^k) from repeated
-    squaring, except P^3 = (P @ P) @ P.  Reproducing that order keeps every
-    rounding error identical.  The row TV distances are reduced a block of
-    powers at a time (the same elementwise operations and per-row sums as
-    the scalar path); a block holds at most 4096 matrix entries, so beside
-    the squares Z_k memory does not grow with q_max.
-    """
-    out = np.empty(q_max + 1)
-    out[0] = 1.0
     squares = [transition]
+    for _ in range(1, max(gaps, default=0).bit_length()):
+        squares.append(squares[-1] @ squares[-1])
+    out = np.ones(len(gaps))
+    nonzero = [j for j, gap in enumerate(gaps) if gap]
     block = max(1, 4096 // transition.size)
-    powers = []
-    for q in range(1, q_max + 1):
-        while q >> len(squares):
-            squares.append(squares[-1] @ squares[-1])
-        if q == 3:
-            pq = squares[1] @ transition
-        else:
-            pq = None
-            for k in range(q.bit_length()):
-                if (q >> k) & 1:
-                    pq = squares[k] if pq is None else pq @ squares[k]
-        powers.append(pq)
-        if len(powers) == block or q == q_max:
-            tv_rows = 0.5 * np.abs(np.stack(powers) - pi).sum(axis=2)
-            for j, row in enumerate(tv_rows, start=q + 1 - len(powers)):
-                out[j] = pi @ row
-            powers.clear()
-    return out
+    for start in range(0, len(nonzero), block):
+        idx = nonzero[start:start + block]
+        powers = []
+        for j in idx:
+            gap = gaps[j]
+            if gap == 3:
+                pq = squares[1] @ transition
+            else:
+                pq = None
+                for k in range(gap.bit_length()):
+                    if (gap >> k) & 1:
+                        pq = squares[k] if pq is None else pq @ squares[k]
+            powers.append(pq)
+        tv_rows = 0.5 * np.abs(np.array(powers) - pi).sum(axis=2)
+        for j, row in zip(idx, tv_rows):
+            out[j] = pi @ row
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 def _rank_bins(values: np.ndarray, m_bins: int) -> np.ndarray:
@@ -417,6 +405,14 @@ def _rank_bins(values: np.ndarray, m_bins: int) -> np.ndarray:
     for b in range(m_bins):
         bins[order[-(-b * n // m_bins):-(-(b + 1) * n // m_bins)]] = b
     return bins
+
+
+def _check_binning(n: int, gaps: np.ndarray, m_bins: int) -> None:
+    if n < 10 * m_bins * m_bins:
+        raise EstimationError(
+            f"need n >= {10 * m_bins * m_bins} observations for m_bins={m_bins}, got {n}")
+    if np.any(gaps >= n // 2):
+        raise EstimationError("gap q must be < n/2")
 
 
 def estimate_beta_binning(sample: SequenceSample, q: int | Sequence[int],
@@ -432,12 +428,8 @@ def estimate_beta_binning(sample: SequenceSample, q: int | Sequence[int],
     """
     values = np.asarray(sample.values, dtype=float)
     n = len(values)
-    if n < 10 * m_bins * m_bins:
-        raise EstimationError(
-            f"need n >= {10 * m_bins * m_bins} observations for m_bins={m_bins}, got {n}")
     gaps = np.atleast_1d(q)
-    if np.any(gaps >= n // 2):
-        raise EstimationError("gap q must be < n/2")
+    _check_binning(n, gaps, m_bins)
     bins = _rank_bins(values, m_bins)
     out = np.empty(len(gaps))
     for j, gap in enumerate(gaps):

@@ -169,8 +169,11 @@ def _monotone_envelopes(entropy: EntropyModel, profile: MixingProfile,
     return np.maximum.accumulate(r1[::-1])[::-1]
 
 
+_MAIN_BOUND_GRID_PER_DECADE = 64
+
+
 def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
-               r: float, grid_per_decade: int = 64) -> RateBound:
+               r: float) -> RateBound:
     """Chaining bound: the smallest a in [0, 8 sqrt(n) sigma] with
     integral_{a/(64 sqrt(n))}^{sigma} sqrt(R1(u)) du <= a, plus the block
     remainder b * tau_q(sigma) * (1 + H(sigma)) / sqrt(n)."""
@@ -178,7 +181,7 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     sqrt_n = math.sqrt(n)
     a_hi = 8.0 * sqrt_n * sigma
     u_floor = sigma * 1e-9 / sqrt_n
-    n_pts = max(2, int(grid_per_decade * math.log10(sigma / u_floor)) + 1)
+    n_pts = max(2, int(_MAIN_BOUND_GRID_PER_DECADE * math.log10(sigma / u_floor)) + 1)
     grid = np.geomspace(u_floor, sigma, n_pts)
     r1 = _monotone_envelopes(entropy, profile, n, r, grid)
     sqrt_r1 = np.sqrt(r1)
@@ -285,15 +288,8 @@ def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf,
         curve = r_frac * (1 + beta_frac) / (beta_frac * (r_frac - 1))
         dep_exp = (1 - beta_frac * (1 - 2 / r_frac)) / (2 * (1 + beta_frac))
         source = "finite-r-bracket table"
-    if beta_frac > beta_star:
-        if alpha_frac == 2:
-            return RegimeReport(Regime.BOUNDARY, None, source)
-        if alpha_frac < 2:
-            return RegimeReport(Regime.DONSKER_BOUNDED, Fraction(0), source)
-        return RegimeReport(Regime.IID_LIKE,
-                            Fraction(1, 2) - 1 / alpha_frac, source)
-    if beta_frac == beta_star:
-        # curve meets alpha = 2 here; off-curve values still classify
+    if beta_frac >= beta_star:
+        # the curve meets alpha = 2 at beta_star; off-curve values classify too
         if alpha_frac == 2:
             return RegimeReport(Regime.BOUNDARY, None, source)
         if alpha_frac < 2:
@@ -365,9 +361,12 @@ def pi_n(entropy: EntropyModel, gamma: float, sigma: float, n: int,
     return t1 + term_block + t3 + t4
 
 
+_DELTA_DECADES = 6.0
+_DELTA_GRID_PER_DECADE = 32
+
+
 def solve_delta_n(pi_fn: Callable[[float], float], n: int, t: float,
-                  delta_max: float = 1.0, grid_per_decade: int = 32,
-                  decades: float = 6.0) -> float:
+                  delta_max: float = 1.0) -> float:
     """Smallest delta with pi_fn(delta) <= sqrt(n) * delta**2.
 
     Requires pi_fn(delta)/delta**t non-increasing for some t in (0, 2)
@@ -377,8 +376,8 @@ def solve_delta_n(pi_fn: Callable[[float], float], n: int, t: float,
     if not (0 < t < 2):
         raise ValueError("t must lie in (0, 2)")
     sqrt_n = math.sqrt(n)
-    grid = np.geomspace(delta_max * 10.0 ** (-decades), delta_max,
-                        int(grid_per_decade * decades) + 1)
+    grid = np.geomspace(delta_max * 10.0 ** (-_DELTA_DECADES), delta_max,
+                        int(_DELTA_GRID_PER_DECADE * _DELTA_DECADES) + 1)
     vals = np.array([pi_fn(d) for d in grid])
     ok = vals <= sqrt_n * grid ** 2
     if not ok.any():

@@ -170,10 +170,15 @@ class TestSemanticConfigFaults:
                                 "params": {"transition": [[0.9, 0.1], [0.2]],
                                            "state_values": [0.2, 0.8]}},
                         "n": 5000, "q_grid": [1, 5], "m_bins": 2, "seed": 3}),
+        ("mixing-est", {"dgp": {"generator": "iid_uniform"},
+                        "n": 100, "q_grid": [1, 5], "m_bins": 8, "seed": 3}),
+        ("mixing-est", {"dgp": {"generator": "iid_uniform"},
+                        "n": 1000, "q_grid": [1, 600], "m_bins": 2, "seed": 3}),
         ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 1.0,
                       "n_grid": [8, 12, 16, 24], "replications": 1,
                       "base_seed": 0, "k_override": 5}),
     ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
+            "too_few_observations_for_bins", "gap_not_below_half_n",
             "beta_at_regime_boundary"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
         cfg_path = write_cfg(tmp_path, "cfg.json", cfg)

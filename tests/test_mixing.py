@@ -150,6 +150,23 @@ class TestRenewalTables:
             mixing.gen_renewal_chain(float("nan"), 10, 10, seed=0)
 
 
+def loop_age_value_transition(tail_exponent, l_max, n_values):
+    # reference: the (residual, value) transition matrix entry by entry
+    pmf = mixing._block_length_pmf(tail_exponent, l_max)
+    m = l_max * n_values
+    trans = np.zeros((m, m))
+    for r in range(1, l_max + 1):
+        for v in range(n_values):
+            s = (r - 1) * n_values + v
+            if r > 1:
+                trans[s, (r - 2) * n_values + v] = 1.0
+            else:
+                for rl in range(1, l_max + 1):
+                    for vn in range(n_values):
+                        trans[s, (rl - 1) * n_values + vn] = pmf[rl - 1] / n_values
+    return trans
+
+
 class TestGenRenewalChain:
     def test_lmax_one_is_iid_uniform(self):
         s = mixing.gen_renewal_chain(0.5, 1, 2000, seed=5)
@@ -182,6 +199,14 @@ class TestGenRenewalChain:
             mixing.gen_renewal_chain(0.0, 10, 10, seed=0)
         with pytest.raises(mixing.ConstructionError):
             mixing.gen_renewal_chain(0.5, 0, 10, seed=0)
+
+    @pytest.mark.parametrize("tail,l_max,n_values", [
+        (0.5, 50, 10), (0.5, 500, 1), (2.0, 7, 3), (0.3, 1, 4), (1.5, 20, 1)])
+    def test_age_value_chain_matches_loop(self, tail, l_max, n_values):
+        T, pi, values = mixing.renewal_age_value_chain(tail, l_max, n_values)
+        assert np.array_equal(T, loop_age_value_transition(tail, l_max, n_values))
+        assert np.allclose(pi @ T, pi)
+        assert values.shape == pi.shape == (l_max * n_values,)
 
     def test_exact_chain_decay_slope(self):
         # coefficients of the exact (age, value) chain decay like q^{-beta};
@@ -235,6 +260,35 @@ class TestExactBetaMarkov:
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):
             mixing.exact_beta_markov(P_LAZY, PI_LAZY, -1)
+        with pytest.raises(ValueError):
+            mixing.exact_beta_markov(P_LAZY, PI_LAZY, [3, -1, 2])
+
+    def test_int_gap_returns_float(self):
+        assert type(mixing.exact_beta_markov(P_LAZY, PI_LAZY, 0)) is float
+        assert type(mixing.exact_beta_markov(P_LAZY, PI_LAZY, 7)) is float
+
+    @pytest.mark.parametrize("m", [2, 5, 20, 70])
+    def test_scalar_gap_matches_matrix_power(self, m):
+        rng = np.random.default_rng(m)
+        prof = random_chain(rng, m)
+        for q in (1, 2, 3, 4, 5, 7, 8, 1023, 4096, 65535, 65536, 99_999, 100_000):
+            assert (mixing.exact_beta_markov(prof.transition, prof.stationary, q)
+                    == matrix_power_beta(prof.transition, prof.stationary, q))
+
+    @pytest.mark.parametrize("m,gaps", [
+        (2, [5, 0, 3, 5]),
+        (2, [9, 1, 0]),
+        # 20 states: blocks of 10 powers, so the 19 nonzero gaps end in a
+        # partial block
+        (20, [17, 3, 0, 40, 3, 2, 1, 8, 8, 64, 5, 0, 31, 6, 7, 12, 4, 2, 9, 11, 3, 0]),
+        (20, []),
+    ], ids=["unsorted_repeats", "last_gap_zero", "partial_block", "empty"])
+    def test_grid_equals_scalar_calls(self, m, gaps):
+        prof = random_chain(np.random.default_rng(m), m)
+        betas = mixing.exact_beta_markov(prof.transition, prof.stationary, gaps)
+        assert betas.shape == (len(gaps),)
+        assert np.array_equal(betas, [matrix_power_beta(prof.transition, prof.stationary, q)
+                                      for q in gaps])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -374,6 +428,15 @@ def scalar_coefficients(prof, q_max):
     return np.array([prof.coefficient(q) for q in range(q_max + 1)])
 
 
+def matrix_power_beta(transition, stationary, q):
+    # reference: one np.linalg.matrix_power per gap
+    if q == 0:
+        return 1.0
+    pq = np.linalg.matrix_power(transition, q)
+    tv_rows = 0.5 * np.abs(pq - stationary[None, :]).sum(axis=1)
+    return float(stationary @ tv_rows)
+
+
 class TestCoefficientsArray:
     """coefficients(q_max) must equal the scalar sequence bit for bit."""
 
@@ -384,8 +447,9 @@ class TestCoefficientsArray:
         # and 1 powers
         rng = np.random.default_rng(m)
         for prof in (random_chain(rng, m), random_chain(rng, m)):
-            assert np.array_equal(prof.coefficients(300),
-                                  scalar_coefficients(prof, 300))
+            ref = [matrix_power_beta(prof.transition, prof.stationary, q)
+                   for q in range(301)]
+            assert np.array_equal(prof.coefficients(300), ref)
 
     def test_exact_markov_matches_exact_beta_markov(self):
         prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
