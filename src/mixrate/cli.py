@@ -60,6 +60,11 @@ _DGP_SCHEMA = {
     ],
 }
 
+# norm index r > 2, or "inf" for sup-norm brackets
+_R_SCHEMA = {"anyOf": [{"type": "number", "exclusiveMinimum": 2}, {"const": "inf"}]}
+_PHASE_GRID = {"type": "array", "minItems": 1,
+               "items": {"type": "number", "exclusiveMinimum": 0}}
+
 SCHEMAS = {
     "rates": {
         "type": "object",
@@ -70,9 +75,9 @@ SCHEMAS = {
                 "items": {
                     "type": "object",
                     "properties": {
-                        "alpha": {"type": "number"},
-                        "beta": {"type": "number"},
-                        "r": {"type": ["number", "string"]},
+                        "alpha": {"type": "number", "minimum": 0},
+                        "beta": {"type": "number", "exclusiveMinimum": 0},
+                        "r": _R_SCHEMA,
                     },
                     "required": ["alpha", "beta"],
                     "additionalProperties": False,
@@ -85,9 +90,9 @@ SCHEMAS = {
     "phase": {
         "type": "object",
         "properties": {
-            "beta_grid": {"type": "array", "items": {"type": "number"}},
-            "alpha_grid": {"type": "array", "items": {"type": "number"}},
-            "r": {"type": ["number", "string"]},
+            "beta_grid": _PHASE_GRID,
+            "alpha_grid": _PHASE_GRID,
+            "r": _R_SCHEMA,
         },
         "required": ["beta_grid", "alpha_grid"],
         "additionalProperties": False,
@@ -179,7 +184,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _r_value(x):
-    return math.inf if x in ("inf", None) else float(x)
+    return math.inf if x == "inf" else float(x)
 
 
 def _cmd_rates(cfg: dict, outdir: Path) -> None:

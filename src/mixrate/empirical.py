@@ -11,7 +11,7 @@ import numpy as np
 
 from . import mixing
 from .classes import CdfOracle, sup_halflines, sup_lipschitz_w1, sup_monotone01
-from .rates import c_phi, lambda_phi_beta
+from .rates import _geometric_bisect, c_phi, lambda_phi_beta
 
 _STATISTICS = {"ks": sup_halflines, "monotone": sup_monotone01,
                "w1": sup_lipschitz_w1}
@@ -159,13 +159,7 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> flo
         hi *= 2.0
     while ok(lo):
         lo /= 2.0
-    while hi / lo > 1.0 + _ORLICZ_REL_TOL:
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _geometric_bisect(ok, lo, hi, _ORLICZ_REL_TOL)
 
 
 @dataclass(frozen=True)

@@ -38,20 +38,21 @@ class EstimationError(ValueError):
     """Raised when a sample is too small for the requested estimate."""
 
 
-def _check_stochastic(transition: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+_STOCHASTIC_TOL = 1e-12
+_POWER_TOL = 1e-12
+_POWER_MAX_ITER = 200_000
+
+
+def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     transition = np.asarray(transition, dtype=float)
     if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
         raise ConstructionError("transition matrix must be square")
-    if np.any(transition < -tol):
+    if np.any(transition < -_STOCHASTIC_TOL):
         raise ConstructionError("transition matrix has negative entries")
     rows = transition.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > tol):
+    if np.any(np.abs(rows - 1.0) > _STOCHASTIC_TOL):
         raise ConstructionError("rows of transition matrix must sum to 1")
     return transition
-
-
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 200_000
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -86,8 +87,8 @@ class MixingProfile:
     """Model of a mixing-coefficient sequence q -> coefficient(q) in [0,1].
 
     ``coefficient(0) == 1`` by convention and the sequence is
-    non-increasing.  ``flavor`` records which dependence coefficient the
-    profile describes.
+    non-increasing.  ``flavor`` names the dependence coefficient described;
+    the bounds of :mod:`mixrate.rates` accept only beta.
     """
 
     kind: ProfileKind
@@ -433,10 +434,9 @@ def estimate_beta_binning(sample: SequenceSample, q: int | Sequence[int],
     bins = _rank_bins(values, m_bins)
     out = np.empty(len(gaps))
     for j, gap in enumerate(gaps):
-        a, b = bins[: n - gap], bins[gap:]
-        joint = np.zeros((m_bins, m_bins))
-        np.add.at(joint, (a, b), 1.0)
-        joint /= joint.sum()
+        counts = np.bincount(bins[: n - gap] * m_bins + bins[gap:],
+                             minlength=m_bins * m_bins)
+        joint = counts.reshape(m_bins, m_bins) / counts.sum()
         pa = joint.sum(axis=1)
         pb = joint.sum(axis=0)
         out[j] = 0.5 * np.abs(joint - np.outer(pa, pb)).sum()

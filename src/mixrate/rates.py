@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mixing import MixingProfile
+from .mixing import MixingFlavor, MixingProfile
 from .classes import EntropyModel, entropy_eval
 
 
@@ -25,6 +25,25 @@ class BoundaryParameterError(ValueError):
 
 class ScaleError(ValueError):
     """Raised when the norm radius is below the admissible scale."""
+
+
+def _geometric_bisect(pred: Callable[[float], bool], lo: float, hi: float,
+                      rel_tol: float) -> float:
+    """Shrink [lo, hi], with pred false at lo and true at hi, to its geometric
+    midpoint's side until hi/lo <= 1 + rel_tol; return hi."""
+    while hi / lo > 1.0 + rel_tol:
+        mid = math.sqrt(lo * hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _require_beta(profile: MixingProfile) -> None:
+    if profile.flavor != MixingFlavor.BETA:
+        raise ValueError("the bound needs beta-mixing coefficients, got a "
+                         f"{profile.flavor.value}-mixing profile")
 
 
 def c_phi(r: float) -> float:
@@ -49,6 +68,7 @@ def lambda_phi_beta(profile: MixingProfile, q: int, r: float) -> float:
         raise ValueError("r must exceed 2")
     if q < 0:
         raise ValueError("q must be >= 0")
+    _require_beta(profile)
     p = 1.0 - 2.0 / r
     return float(np.sum(profile.coefficients(q) ** p) / p)
 
@@ -68,28 +88,28 @@ def _entropy_dyadic_sum(entropy: EntropyModel, delta: float) -> float:
 
 
 def tau_q(profile: MixingProfile, entropy: EntropyModel, delta: float, n: int,
-          method: str = "auto") -> int:
+          method: str = "bisect") -> int:
     """Smallest q in [0, n] with beta_q <= (q/n) * (1 + dyadic entropy sum).
 
     The left side is non-increasing and the right side increasing in q, so
-    the first crossing is found by linear scan (``"scan"``) or by galloping
-    up from q = 1 through 1, 2, 4, ... (capped at n) and bisecting the last
-    doubling (``"bisect"``).  Both return the same q; ``"auto"`` scans when
-    n <= 1e4.  Galloping keeps the probes near the crossing, which for
-    fast-mixing profiles sits at small q whatever n is.  Raises
-    ``ValueError`` when no q in [0, n] crosses.
+    the first crossing is found by galloping up from q = 1 through 1, 2, 4,
+    ... (capped at n) and bisecting the last doubling (``"bisect"``), or by
+    the linear scan that the tests and ``mixrate verify`` use as its
+    reference (``"scan"``).  Galloping keeps the probes near the crossing,
+    which for fast-mixing profiles sits at small q whatever n is.  Raises
+    ``ValueError`` when no q in [0, n] crosses or the profile does not
+    describe beta-mixing.
     """
     if not (0 < delta <= entropy.sigma):
         raise ValueError("delta must lie in (0, sigma]")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_beta(profile)
     slope = _entropy_dyadic_sum(entropy, delta) / n
 
     def crossed(q: int) -> bool:
         return profile.coefficient(q) <= q * slope
 
-    if method == "auto":
-        method = "scan" if n <= 10_000 else "bisect"
     if method == "scan":
         for q in range(n + 1):
             if crossed(q):
@@ -125,6 +145,7 @@ def finite_class_bound(sigma: float, b: float, cardinality: int, n: int,
         raise ValueError("cardinality must be >= 1")
     if sigma <= 0 or b <= 0:
         raise ValueError("sigma and b must be > 0")
+    _require_beta(profile)
     p = 1.0 - 2.0 / r
     coeffs = profile.coefficients(n)
     lam = np.cumsum(coeffs ** p) / p
@@ -154,21 +175,6 @@ class RateBound:
     integral_residual: float
 
 
-def _monotone_envelopes(entropy: EntropyModel, profile: MixingProfile,
-                        n: int, r: float, grid: np.ndarray) -> np.ndarray:
-    """Non-increasing majorant of R1(u) = Lambda-envelope(u) * (1 + H(u))
-    evaluated on an increasing u-grid."""
-    taus = [tau_q(profile, entropy, d, n) for d in grid]
-    # tau takes few distinct values on the grid (1..6 for a fast chain)
-    lam = {t: lambda_phi_beta(profile, t, r) for t in set(taus)}
-    psi = np.array([lam[t] for t in taus])
-    psi = np.maximum.accumulate(psi)  # non-decreasing in delta
-    h = np.array([entropy_eval(entropy, u) for u in grid])
-    r1 = psi * (1.0 + h)
-    # non-increasing majorant: running max from large u downward
-    return np.maximum.accumulate(r1[::-1])[::-1]
-
-
 _MAIN_BOUND_GRID_PER_DECADE = 64
 
 
@@ -176,15 +182,30 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
                r: float) -> RateBound:
     """Chaining bound: the smallest a in [0, 8 sqrt(n) sigma] with
     integral_{a/(64 sqrt(n))}^{sigma} sqrt(R1(u)) du <= a, plus the block
-    remainder b * tau_q(sigma) * (1 + H(sigma)) / sqrt(n)."""
+    remainder b * tau_q(sigma) * (1 + H(sigma)) / sqrt(n).
+
+    R1(u) is the non-increasing majorant of Lambda(tau(u)) * (1 + H(u)) on
+    a geometric u-grid ending at sigma.  A smaller u only raises the slope
+    of tau's crossing condition, so one beta array up to tau(sigma) serves
+    every node."""
     sigma, b = entropy.sigma, entropy.b
     sqrt_n = math.sqrt(n)
     a_hi = 8.0 * sqrt_n * sigma
     u_floor = sigma * 1e-9 / sqrt_n
     n_pts = max(2, int(_MAIN_BOUND_GRID_PER_DECADE * math.log10(sigma / u_floor)) + 1)
-    grid = np.geomspace(u_floor, sigma, n_pts)
-    r1 = _monotone_envelopes(entropy, profile, n, r, grid)
-    sqrt_r1 = np.sqrt(r1)
+    grid = np.geomspace(u_floor, sigma, n_pts)  # grid[-1] == sigma exactly
+    beta = profile.coefficients(tau_q(profile, entropy, sigma, n))
+    qs = np.arange(len(beta))
+    slopes = [_entropy_dyadic_sum(entropy, u) / n for u in grid]
+    # the dyadic sum is a step function of u: few distinct slopes
+    first = {s: int(np.argmax(beta <= qs * s)) for s in set(slopes)}
+    taus = [first[s] for s in slopes]
+    lam = {t: lambda_phi_beta(profile, t, r) for t in set(taus)}
+    psi = np.maximum.accumulate([lam[t] for t in taus])  # non-decreasing in u
+    h = np.array([entropy_eval(entropy, u) for u in grid])
+    r1 = psi * (1.0 + h)
+    # non-increasing majorant: running max from large u downward
+    sqrt_r1 = np.sqrt(np.maximum.accumulate(r1[::-1])[::-1])
     log_u = np.log(grid)
     # cumulative integral of sqrt(R1) from each node to sigma (trapezoid in
     # log space: integral f du = integral f*u dlog u); grid density plays the
@@ -214,20 +235,11 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     if g(a_lo) <= 0:
         a = a_lo
     else:
-        for _ in range(100):
-            mid = math.sqrt(a_lo * a_hi)
-            if g(mid) <= 0:
-                a_hi = mid
-            else:
-                a_lo = mid
-            if a_hi / a_lo < 1.0 + 1e-9:
-                break
-        a = a_hi
-    tq = tau_q(profile, entropy, sigma, n)
-    lam = lambda_phi_beta(profile, tq, r)
+        a = _geometric_bisect(lambda x: g(x) <= 0, a_lo, a_hi, 1e-9)
+    tq = taus[-1]
     tail = b * tq * (1.0 + entropy_eval(entropy, sigma)) / sqrt_n
     return RateBound(a=a, tail_term=tail, total=a + tail, tau_at_sigma=tq,
-                     lambda_at_sigma=lam, integral_residual=g(a))
+                     lambda_at_sigma=lam[tq], integral_residual=g(a))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +268,7 @@ def _near(x, y, tol=1e-12):
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
-def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf,
-                  sigma_mode: str = "unit") -> RegimeReport:
+def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf) -> RegimeReport:
     """Regime and n-exponent of the expected supremum for an entropy exponent
     alpha and polynomial mixing decay exponent.
 
@@ -273,8 +284,6 @@ def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf,
         raise ValueError("need alpha >= 0 and dep_exponent > 0")
     if not (r > 2):
         raise ValueError("norm index must exceed 2 (or be inf)")
-    if sigma_mode not in ("unit", "free"):
-        raise ValueError("sigma_mode must be 'unit' or 'free'")
     alpha_frac = Fraction(alpha).limit_denominator(10**6)
     beta_frac = Fraction(dep_exponent).limit_denominator(10**6)
     if math.isinf(r):
@@ -301,10 +310,6 @@ def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf,
     if alpha_frac > curve:
         return RegimeReport(Regime.IID_LIKE,
                             Fraction(1, 2) - 1 / alpha_frac, source)
-    if sigma_mode != "unit":
-        # the long-range exponent below presumes a unit norm radius
-        return RegimeReport(Regime.DEPENDENCE_DOMINATED, dep_exp,
-                            source + " (exponent stated at unit radius)")
     return RegimeReport(Regime.DEPENDENCE_DOMINATED, dep_exp, source)
 
 
@@ -389,14 +394,8 @@ def solve_delta_n(pi_fn: Callable[[float], float], n: int, t: float,
     ratio = vals / grid ** t
     if np.any(np.diff(ratio) > 1e-9 * ratio[:-1]):
         raise ValueError("pi_fn(delta)/delta**t is not non-increasing")
-    lo, hi = float(grid[i - 1]), float(grid[i])
-    while hi / lo > 1.0 + 1e-6:
-        mid = math.sqrt(lo * hi)
-        if pi_fn(mid) <= sqrt_n * mid * mid:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _geometric_bisect(lambda d: pi_fn(d) <= sqrt_n * d * d,
+                             float(grid[i - 1]), float(grid[i]), 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ def _axes(x_range, y_range):
 
 
 def emit_svg(series: list[Series], theory: list[TheoryLine] = (),
-             title: str = "", xlabel: str = "n", ylabel: str = "value") -> str:
-    """Log-log scatter with error bars, theory slope lines, and a legend."""
+             title: str = "", ylabel: str = "value") -> str:
+    """Log-log scatter over n with error bars, theory slope lines, and a legend."""
     if not series:
         raise ValueError("no series to plot")
     xs = np.concatenate([s.x for s in series])
@@ -72,7 +72,7 @@ def emit_svg(series: list[Series], theory: list[TheoryLine] = (),
              f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
              f'y2="{_H - _MARGIN}" stroke="black"/>',
              f'<text x="{_W / 2:.0f}" y="{_H - 15}" text-anchor="middle" '
-             f'font-size="12">log {xlabel}</text>',
+             'font-size="12">log n</text>',
              f'<text x="18" y="{_H / 2:.0f}" text-anchor="middle" font-size="12" '
              f'transform="rotate(-90 18 {_H / 2:.0f})">log {ylabel}</text>']
     for t in theory:

@@ -154,7 +154,8 @@ class TestMixingEstCommand:
 
 
 class TestSemanticConfigFaults:
-    """Faults the schemas cannot express exit 2 before anything is written."""
+    """Config faults, in the schemas or beyond them, exit 2 before anything
+    is written."""
 
     @pytest.mark.parametrize("command,cfg", [
         ("simulate", {"dgp": {"generator": "markov",
@@ -177,9 +178,15 @@ class TestSemanticConfigFaults:
         ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 1.0,
                       "n_grid": [8, 12, 16, 24], "replications": 1,
                       "base_seed": 0, "k_override": 5}),
+        ("rates", {"cells": [{"alpha": 1.0, "beta": 3.0, "r": "abc"}]}),
+        ("rates", {"cells": [{"alpha": 1.0, "beta": 3.0, "r": 1.5}]}),
+        ("rates", {"cells": [{"alpha": -1.0, "beta": 3.0}]}),
+        ("phase", {"beta_grid": [0, 1], "alpha_grid": [1.0, 2.0]}),
+        ("phase", {"beta_grid": [], "alpha_grid": [1.0, 2.0]}),
     ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
             "too_few_observations_for_bins", "gap_not_below_half_n",
-            "beta_at_regime_boundary"])
+            "beta_at_regime_boundary", "r_not_a_number", "r_not_above_2",
+            "negative_alpha", "zero_in_beta_grid", "empty_beta_grid"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
         cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
         out = tmp_path / "o"

@@ -9,12 +9,12 @@ from mixrate import rates
 from mixrate.classes import EntropyModel, entropy_eval
 from mixrate.empirical import slope_fit
 from mixrate.mixing import (MixingFlavor, MixingProfile, ProfileKind,
-                            stationary_distribution)
-from mixrate.rates import (BoundaryParameterError, Regime, ScaleError,
-                           application_exponents, boundary_curve, c_phi,
-                           finite_class_bound, lambda_phi_beta, main_bound,
-                           ot_schedule, phase_diagram, pi_n, rate_exponent,
-                           solve_delta_n, tau_q)
+                            gen_ar1, stationary_distribution)
+from mixrate.rates import (BoundaryParameterError, RateBound, Regime,
+                           ScaleError, application_exponents, boundary_curve,
+                           c_phi, finite_class_bound, lambda_phi_beta,
+                           main_bound, ot_schedule, phase_diagram, pi_n,
+                           rate_exponent, solve_delta_n, tau_q)
 
 IID = MixingProfile.iid()
 
@@ -120,10 +120,12 @@ class TestTauQ:
     @pytest.mark.parametrize("n", [1, 64, 20_000])
     def test_no_crossing_rejected(self, n):
         class NeverMixes:  # a corrupt profile: beta_q <= x never holds
+            flavor = MixingFlavor.BETA
+
             def coefficient(self, q):
                 return math.nan
 
-        for method in ("scan", "bisect", "auto"):
+        for method in ("scan", "bisect"):
             with pytest.raises(ValueError, match="no admissible q"):
                 tau_q(NeverMixes(), self.ENT, 0.5, n, method)
 
@@ -133,6 +135,17 @@ class TestTauQ:
         vals = [lambda_phi_beta(prof, tau_q(prof, self.ENT, d, 2000), 4)
                 for d in deltas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_non_beta_flavor_rejected(self):
+        gamma_profile = gen_ar1(0.5, 10, seed=0).mixing_oracle
+        assert gamma_profile.flavor == MixingFlavor.GAMMA
+        for call in (lambda: tau_q(gamma_profile, self.ENT, 0.5, 100),
+                     lambda: lambda_phi_beta(gamma_profile, 5, 4.0),
+                     lambda: finite_class_bound(1.0, 1.0, 4, 100,
+                                                gamma_profile, 4.0),
+                     lambda: main_bound(self.ENT, gamma_profile, 100, 4.0)):
+            with pytest.raises(ValueError, match="beta-mixing"):
+                call()
 
     def test_delta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -159,8 +172,107 @@ class TestFiniteClassBound:
             finite_class_bound(1.0, 1.0, 10, 500, fast, 4)
 
 
+class _MemoCoefficients:
+    """A profile whose scalar coefficients are computed once per gap, so the
+    per-node searches below cost dictionary lookups after the first."""
+
+    def __init__(self, profile):
+        self.profile, self.flavor, self.memo = profile, profile.flavor, {}
+
+    def coefficient(self, q):
+        if q not in self.memo:
+            self.memo[q] = self.profile.coefficient(q)
+        return self.memo[q]
+
+    def coefficients(self, q_max):
+        return self.profile.coefficients(q_max)
+
+
+def frozen_main_bound(entropy, profile, n, r):
+    """main_bound with one tau_q search per grid node and one more at sigma,
+    and its own bisection loop for the budget a: the algorithm main_bound
+    used before it shared one beta array across the grid.  Every node
+    gallops (the scan agrees, see TestTauQ)."""
+    profile = _MemoCoefficients(profile)
+    sigma, b = entropy.sigma, entropy.b
+    sqrt_n = math.sqrt(n)
+    a_hi = 8.0 * sqrt_n * sigma
+    u_floor = sigma * 1e-9 / sqrt_n
+    n_pts = max(2, int(64 * math.log10(sigma / u_floor)) + 1)
+    grid = np.geomspace(u_floor, sigma, n_pts)
+    taus = [tau_q(profile, entropy, d, n, "bisect") for d in grid]
+    lam = {t: lambda_phi_beta(profile, t, r) for t in set(taus)}
+    psi = np.maximum.accumulate(np.array([lam[t] for t in taus]))
+    h = np.array([entropy_eval(entropy, u) for u in grid])
+    r1 = psi * (1.0 + h)
+    w = np.sqrt(np.maximum.accumulate(r1[::-1])[::-1]) * grid
+    log_u = np.log(grid)
+    seg = 0.5 * (w[1:] + w[:-1]) * np.diff(log_u)
+    cum_from_right = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+
+    def g(a):
+        lo = max(a / (64.0 * sqrt_n), u_floor)
+        if lo >= sigma:
+            return 0.0 - a
+        i = int(np.searchsorted(grid, lo, side="right"))
+        wi = np.interp(math.log(lo), log_u, w)
+        part = 0.5 * (wi + w[i]) * (log_u[i] - math.log(lo))
+        return part + cum_from_right[i] - a
+
+    if g(a_hi) > 0:
+        raise ScaleError("no admissible chaining budget")
+    a_lo = a_hi * 1e-14
+    if g(a_lo) <= 0:
+        a = a_lo
+    else:
+        for _ in range(100):
+            mid = math.sqrt(a_lo * a_hi)
+            if g(mid) <= 0:
+                a_hi = mid
+            else:
+                a_lo = mid
+            if a_hi / a_lo < 1.0 + 1e-9:
+                break
+        a = a_hi
+    tq = tau_q(profile, entropy, sigma, n, "bisect")
+    lam_sigma = lambda_phi_beta(profile, tq, r)
+    tail = b * tq * (1.0 + entropy_eval(entropy, sigma)) / sqrt_n
+    return RateBound(a=a, tail_term=tail, total=a + tail, tau_at_sigma=tq,
+                     lambda_at_sigma=lam_sigma, integral_residual=g(a))
+
+
+def _bound_profiles():
+    profiles = {"iid": IID}
+    profiles.update((f"poly_{e}", poly(e)) for e in (0.2, 0.5, 1.0, 3.0))
+    rng = np.random.default_rng(2024)
+    chains = [np.array([[0.9, 0.1], [0.1, 0.9]]),
+              np.array([[0.99, 0.01], [0.02, 0.98]]),
+              np.array([[0.5, 0.5], [0.5, 0.5]])]
+    for m in (3, 5, 5, 8):
+        P = rng.random((m, m)) + 0.05
+        chains.append(P / P.sum(axis=1, keepdims=True))
+    for i, P in enumerate(chains):
+        profiles[f"markov_{i}"] = MixingProfile(
+            kind=ProfileKind.EXACT_MARKOV, transition=P,
+            stationary=stationary_distribution(P))
+    return profiles
+
+
+BOUND_PROFILES = _bound_profiles()
+
+
 class TestMainBound:
     ENT = EntropyModel(alpha=4.0, sigma=1.0, b=1.0)
+
+    @pytest.mark.parametrize("name", list(BOUND_PROFILES))
+    def test_matches_per_node_search(self, name):
+        prof = BOUND_PROFILES[name]
+        for n in (64, 4096, 100_000):
+            for r in (3.0, 4.0):
+                for alpha in (0.5, 4.0):
+                    ent = EntropyModel(alpha=alpha, sigma=1.0, b=1.0)
+                    assert main_bound(ent, prof, n, r) == \
+                        frozen_main_bound(ent, prof, n, r), (n, r, alpha)
 
     def test_iid_matches_classical_entropy_integral_shape(self):
         def classical(ent, n):
