@@ -102,7 +102,7 @@ SCHEMAS = {
         "properties": {
             "dgp": _DGP_SCHEMA,
             "statistic": {"enum": ["ks", "monotone", "w1"]},
-            "n_grid": {"type": "array", "minItems": 4,
+            "n_grid": {"type": "array", "minItems": 4, "uniqueItems": True,
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 30},
             "base_seed": {"type": "integer"},
@@ -116,7 +116,8 @@ SCHEMAS = {
         "properties": {
             "dgp": _DGP_SCHEMA,
             "n": {"type": "integer", "minimum": 10},
-            "q_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+            "q_grid": {"type": "array", "minItems": 1,
+                       "items": {"type": "integer", "minimum": 1}},
             "m_bins": {"type": "integer", "minimum": 2},
             "seed": {"type": "integer"},
         },
@@ -129,7 +130,7 @@ SCHEMAS = {
             "dgp": _DGP_SCHEMA,
             "d": {"type": "integer", "minimum": 2},
             "beta": {"type": "number", "exclusiveMinimum": 0},
-            "n_grid": {"type": "array", "minItems": 4,
+            "n_grid": {"type": "array", "minItems": 4, "uniqueItems": True,
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 1},
             "base_seed": {"type": "integer"},

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -172,32 +173,49 @@ class VarianceBoundReport:
 
 
 def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
-                          h: np.ndarray, q: int, r: float) -> VarianceBoundReport:
+                          h: np.ndarray, q: int | Sequence[int],
+                          r: float | Sequence[float]) -> VarianceBoundReport | list:
     """Exact check of Var(sum_{i=1}^q h(X_i)) <= q ||h||^2 (c^2 + 2 Lambda(q))
     on a finite stationary chain, with every expectation computed from
-    matrix powers (no sampling)."""
-    if r <= 2:
-        raise ValueError("r must exceed 2")
+    matrix powers (no sampling).
+
+    ``q`` (each >= 1) and ``r`` (each > 2) are numbers or 1-D grids: two
+    numbers give one report, otherwise a list over q of lists over r.  The
+    covariances, the profile, and one Lambda grid and Orlicz norm per r are
+    computed once per call; each case then does a single call's arithmetic.
+    """
+    qs = np.atleast_1d(q).tolist()
+    rs = np.atleast_1d(r).tolist()
+    if min(qs, default=1) < 1 or min(rs, default=3) <= 2:
+        raise ValueError("q must be >= 1 and r must exceed 2")
     transition = np.asarray(transition, dtype=float)
     stationary = np.asarray(stationary, dtype=float)
     h = np.asarray(h, dtype=float)
     mu = float(np.dot(stationary, h))
     hc = h - mu
     var0 = float(np.dot(stationary, hc * hc))
-    lhs = q * var0
+    cov = [var0]  # cov[k] = Cov(h(X_0), h(X_k))
     pk = np.eye(len(h))
-    for k in range(1, q):
+    for _ in range(1, max(qs, default=1)):
         pk = pk @ transition
-        cov_k = float(stationary @ (hc * (pk @ hc)))
-        lhs += 2 * (q - k) * cov_k
+        cov.append(float(stationary @ (hc * (pk @ hc))))
     profile = mixing.MixingProfile(
         kind=mixing.ProfileKind.EXACT_MARKOV, flavor=mixing.MixingFlavor.BETA,
         transition=transition, stationary=stationary)
-    lam = lambda_phi_beta(profile, q, r)
-    norm = orlicz_norm_finite(h, stationary, r)
-    rhs = q * norm ** 2 * (c_phi(r) ** 2 + 2.0 * lam)
-    return VarianceBoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9 * rhs,
-                               orlicz_norm=norm, lambda_value=lam)
+    per_r = [(lambda_phi_beta(profile, qs, ri).tolist(),
+              orlicz_norm_finite(h, stationary, ri), c_phi(ri) ** 2) for ri in rs]
+    reports = []
+    for i, qi in enumerate(qs):
+        lhs = qi * var0
+        for k in range(1, qi):
+            lhs += 2 * (qi - k) * cov[k]
+        reports.append([])
+        for lam, norm, c2 in per_r:
+            rhs = qi * norm ** 2 * (c2 + 2.0 * lam[i])
+            reports[-1].append(VarianceBoundReport(
+                lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9 * rhs,
+                orlicz_norm=norm, lambda_value=lam[i]))
+    return reports[0][0] if np.ndim(q) == np.ndim(r) == 0 else reports
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,21 +56,25 @@ def c_phi(r: float) -> float:
     return math.sqrt(1.0 + x_star - x_star ** (r / 2.0))
 
 
-def lambda_phi_beta(profile: MixingProfile, q: int, r: float) -> float:
+def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
+                    r: float) -> float | np.ndarray:
     """Cumulative Orlicz-weighted mixing mass
     sum_{i=0}^q integral_0^{beta_i} u**(-2/r) du = (1-2/r)^{-1} sum beta_i**(1-2/r).
 
-    The coefficients come from one ``profile.coefficients(q)`` call, so an
-    exact Markov profile costs O(q log q) small matrix products, not O(q)
-    separate matrix powers.
+    ``q`` is a gap (a float is returned) or a 1-D grid of gaps (an array).
+    One ``profile.coefficients`` call up to the largest gap serves every gap,
+    so an exact Markov profile costs O(q log q) small matrix products.
     """
     if r <= 2:
         raise ValueError("r must exceed 2")
-    if q < 0:
+    gaps = np.atleast_1d(q).tolist()
+    if min(gaps, default=0) < 0:
         raise ValueError("q must be >= 0")
     _require_beta(profile)
     p = 1.0 - 2.0 / r
-    return float(np.sum(profile.coefficients(q) ** p) / p)
+    coeffs = profile.coefficients(max(gaps, default=0))
+    out = np.array([np.sum(coeffs[:g + 1] ** p) / p for g in gaps])
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +204,8 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     # the dyadic sum is a step function of u: few distinct slopes
     first = {s: int(np.argmax(beta <= qs * s)) for s in set(slopes)}
     taus = [first[s] for s in slopes]
-    lam = {t: lambda_phi_beta(profile, t, r) for t in set(taus)}
+    distinct = sorted(set(taus))
+    lam = dict(zip(distinct, lambda_phi_beta(profile, distinct, r).tolist()))
     psi = np.maximum.accumulate([lam[t] for t in taus])  # non-decreasing in u
     h = np.array([entropy_eval(entropy, u) for u in grid])
     r1 = psi * (1.0 + h)

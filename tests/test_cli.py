@@ -183,10 +183,19 @@ class TestSemanticConfigFaults:
         ("rates", {"cells": [{"alpha": -1.0, "beta": 3.0}]}),
         ("phase", {"beta_grid": [0, 1], "alpha_grid": [1.0, 2.0]}),
         ("phase", {"beta_grid": [], "alpha_grid": [1.0, 2.0]}),
+        ("simulate", {"dgp": {"generator": "iid_uniform"}, "statistic": "ks",
+                      "n_grid": [64, 64, 128, 256], "replications": 30,
+                      "base_seed": 0}),
+        ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
+                      "n_grid": [16, 16, 24, 32], "replications": 1,
+                      "base_seed": 0, "k_override": 20}),
+        ("mixing-est", {"dgp": {"generator": "iid_uniform"},
+                        "n": 1000, "q_grid": [], "m_bins": 2, "seed": 3}),
     ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
             "too_few_observations_for_bins", "gap_not_below_half_n",
             "beta_at_regime_boundary", "r_not_a_number", "r_not_above_2",
-            "negative_alpha", "zero_in_beta_grid", "empty_beta_grid"])
+            "negative_alpha", "zero_in_beta_grid", "empty_beta_grid",
+            "simulate_repeated_n", "ot_bench_repeated_n", "empty_q_grid"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
         cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
         out = tmp_path / "o"

@@ -16,6 +16,34 @@ ORACLE = uniform01_cdf()
 IID_CFG = {"generator": "iid_uniform"}
 
 
+def frozen_verify_variance_bound(transition, stationary, h, q, r):
+    """verify_variance_bound as it was when it took one (q, r) per call,
+    with its Lambda(q) formula inlined: the reference that the grid form
+    must match bit for bit."""
+    transition = np.asarray(transition, dtype=float)
+    stationary = np.asarray(stationary, dtype=float)
+    h = np.asarray(h, dtype=float)
+    mu = float(np.dot(stationary, h))
+    hc = h - mu
+    var0 = float(np.dot(stationary, hc * hc))
+    lhs = q * var0
+    pk = np.eye(len(h))
+    for k in range(1, q):
+        pk = pk @ transition
+        cov_k = float(stationary @ (hc * (pk @ hc)))
+        lhs += 2 * (q - k) * cov_k
+    profile = mixing.MixingProfile(
+        kind=mixing.ProfileKind.EXACT_MARKOV, flavor=mixing.MixingFlavor.BETA,
+        transition=transition, stationary=stationary)
+    p = 1.0 - 2.0 / r
+    lam = float(np.sum(profile.coefficients(q) ** p) / p)
+    norm = orlicz_norm_finite(h, stationary, r)
+    rhs = q * norm ** 2 * (c_phi(r) ** 2 + 2.0 * lam)
+    return empirical.VarianceBoundReport(
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9 * rhs,
+        orlicz_norm=norm, lambda_value=lam)
+
+
 def make_sample(values):
     return mixing.SequenceSample(values=np.asarray(values, dtype=float),
                                  generator_id="test", params={}, seed=0,
@@ -164,12 +192,47 @@ class TestVarianceBound:
             P /= P.sum(axis=1, keepdims=True)
             pi = mixing.stationary_distribution(P)
             h = rng.normal(size=5)
-            for q in (1, 7, 29):
-                assert verify_variance_bound(P, pi, h, q, 4).holds
+            reports = verify_variance_bound(P, pi, h, (1, 7, 29), 4)
+            assert [len(row) for row in reports] == [1, 1, 1]
+            assert all(row[0].holds for row in reports)
 
     def test_r_floor(self):
-        with pytest.raises(ValueError):
-            verify_variance_bound(self.P, self.PI, np.array([1.0, 0.0]), 5, 2)
+        h = np.array([1.0, 0.0])
+        for q, r in [(5, 2), (5, 1.5), (0, 4), (-1, 4), ([3, 0, 5], 4),
+                     (5, [3, 2]), ([1, 2], [4, 2.0])]:
+            with pytest.raises(ValueError):
+                verify_variance_bound(self.P, self.PI, h, q, r)
+            # rejected at the boundary, before the transition is ever used
+            with pytest.raises(ValueError, match="must"):
+                verify_variance_bound(None, None, h, q, r)
+
+    def test_grid_shape_is_q_by_r(self):
+        h = np.array([1.0, -2.0])
+        assert len(verify_variance_bound(self.P, self.PI, h, 3, [3, 4])) == 1
+        reports = verify_variance_bound(self.P, self.PI, h, [4, 1, 4], [8, 3])
+        assert [len(row) for row in reports] == [2, 2, 2]
+        assert reports[0][1] == reports[2][1] == \
+            verify_variance_bound(self.P, self.PI, h, 4, 3)
+        assert reports[1][0] == verify_variance_bound(self.P, self.PI, h, 1, 8)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_grid_matches_frozen_scalar_bitwise(self, m):
+        rng = np.random.default_rng(100 + m)
+        P = rng.random((m, m)) + 0.05
+        P /= P.sum(axis=1, keepdims=True)
+        pi = mixing.stationary_distribution(P)
+        h = rng.normal(size=m)
+        q_grid, r_grid = range(1, 51), (2.5, 3, 4, 8)
+        reports = verify_variance_bound(P, pi, h, q_grid, r_grid)
+        for q, row in zip(q_grid, reports):
+            for r, rep in zip(r_grid, row):
+                assert rep == frozen_verify_variance_bound(P, pi, h, q, r), (q, r)
+        for q, r in ((1, 3), (17, 2.5), (50, 8)):
+            rep = verify_variance_bound(P, pi, h, q, r)
+            assert rep == frozen_verify_variance_bound(P, pi, h, q, r)
+            # a single call keeps Python scalars in every field
+            assert [type(v) for v in vars(rep).values()] == \
+                [float, float, bool, float, float]
 
 
 class TestPavaIsotonic:

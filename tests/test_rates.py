@@ -43,6 +43,9 @@ class TestCPhi:
             c_phi(1.5)
 
 
+P3 = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
+
+
 class TestLambdaPhiBeta:
     def test_iid_single_surviving_term(self):
         for q in (0, 1, 10):
@@ -51,6 +54,29 @@ class TestLambdaPhiBeta:
     def test_two_term_closed_form(self):
         prof = poly(2.0)  # beta_i = (1+i)^{-2}
         assert lambda_phi_beta(prof, 1, 4) == pytest.approx(2 * (1 + 0.5))
+
+    @pytest.mark.parametrize("profile", [
+        MixingProfile(kind=ProfileKind.EXACT_MARKOV, flavor=MixingFlavor.BETA,
+                      transition=P3, stationary=stationary_distribution(P3)),
+        MixingProfile(kind=ProfileKind.POLYNOMIAL, flavor=MixingFlavor.BETA,
+                      scale=0.8, exponent=1.3),
+        MixingProfile(kind=ProfileKind.EXPONENTIAL, flavor=MixingFlavor.BETA,
+                      scale=0.9, rate=0.4),
+        MixingProfile(kind=ProfileKind.TABULATED, flavor=MixingFlavor.BETA,
+                      values=np.array([1.0, 0.5, 0.25, 0.1])),
+    ], ids=["exact_markov", "polynomial", "exponential", "tabulated"])
+    def test_grid_matches_scalar_bitwise(self, profile):
+        gaps = [9, 0, 3, 3, 17, 1, 0, 6]
+        for r in (2.5, 4, 8.0):
+            # the single-gap formula from before grids, one gap at a time
+            p = 1.0 - 2.0 / r
+            frozen = [float(np.sum(profile.coefficients(g) ** p) / p) for g in gaps]
+            grid = lambda_phi_beta(profile, gaps, r)
+            assert isinstance(grid, np.ndarray) and grid.tolist() == frozen
+            assert [lambda_phi_beta(profile, g, r) for g in gaps] == frozen
+        assert lambda_phi_beta(profile, [], 4).shape == (0,)
+        with pytest.raises(ValueError):
+            lambda_phi_beta(profile, [2, -1], 4)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.2, 3.0), st.integers(0, 30), st.floats(2.5, 16.0))
