@@ -20,6 +20,50 @@ from mixrate.ot import (SinkhornState, _logsumexp_inplace, _sq_dists,
 IID_CFG = {"generator": "iid_uniform"}
 
 
+def frozen_solve_assignment(cost):
+    """solve_assignment as it was when it ran the per-row Hungarian method,
+    updating the duals at every step: the reference that the current solver
+    must match bit for bit on tie-free costs."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    matched_row = np.zeros(n + 1, dtype=int)  # column j -> row (1-indexed)
+    parent = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        matched_row[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = matched_row[j0]
+            free = ~used[1:]
+            cur = cost[i0 - 1, :] - u[i0] - v[1:]
+            upd = free & (cur < minv[1:])
+            minv1 = minv[1:]
+            minv1[upd] = cur[upd]
+            parent[1:][upd] = j0
+            idx = np.flatnonzero(free)
+            j1 = int(idx[np.argmin(minv1[idx])]) + 1
+            delta = minv[j1]
+            u[matched_row[used]] += delta
+            v[used] -= delta
+            minv1[free] -= delta
+            j0 = j1
+            if matched_row[j0] == 0:
+                break
+        while j0:
+            j1 = parent[j0]
+            matched_row[j0] = matched_row[j1]
+            j0 = j1
+    cols = np.zeros(n, dtype=int)
+    for j in range(1, n + 1):
+        cols[matched_row[j] - 1] = j - 1
+    total = float(cost[np.arange(n), cols].sum())
+    return cols, total
+
+
 class TestSinkhornIterates:
     def test_one_atom_first_iterate(self):
         X = np.array([[0.2]])
@@ -260,6 +304,91 @@ class TestExactW2:
             exact_w2(np.zeros((3, 2)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             exact_w2(np.zeros((3, 2)), np.zeros((3, 2)), method="sorted")
+
+    def test_empty_clouds_rejected(self):
+        with pytest.raises(ValueError, match="empty cloud"):
+            exact_w2(np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="empty cloud"):
+            exact_w2(np.zeros((0, 1)), np.zeros((0, 1)), method="sorted")
+
+    def test_clouds_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="2-D"):
+            exact_w2(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="2-D"):
+            exact_w2(np.zeros((2, 2)), np.zeros((2, 2, 1)))
+
+
+class TestAssignmentSolver:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_matches_frozen_solver_on_uniform_costs(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            cost = rng.random((n, n))
+            cols, total = solve_assignment(cost)
+            ref_cols, ref_total = frozen_solve_assignment(cost)
+            assert cols.dtype == np.int64 and type(total) is float
+            assert np.array_equal(cols, ref_cols)
+            assert total == ref_total
+
+    @pytest.mark.parametrize("n", [192, 512])
+    def test_matches_frozen_solver_on_cloud_costs(self, n):
+        for seed in (0, 1):
+            X = gen_cloud(IID_CFG, n, 4, seed)
+            Y = gen_cloud(IID_CFG, n, 4, seed + 1)
+            cost = _sq_dists(X, Y)
+            cols, total = solve_assignment(cost)
+            ref_cols, ref_total = frozen_solve_assignment(cost)
+            assert np.array_equal(cols, ref_cols)
+            assert total == ref_total
+
+    def test_tied_integer_costs_match_brute_force(self):
+        # costs in {0, 1, 2} tie everywhere; the matching may differ from
+        # the frozen solver's but the total is the brute-force optimum
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            cost = rng.integers(0, 3, size=(n, n)).astype(float)
+            cols, total = solve_assignment(cost)
+            brute = min(sum(cost[i, p[i]] for i in range(n))
+                        for p in itertools.permutations(range(n)))
+            assert sorted(cols) == list(range(n))
+            assert total == float(cost[np.arange(n), cols].sum()) == brute
+
+    def test_tied_lattice_clouds_match_brute_method(self):
+        # points of {0, 1}^2: squared distances in {0, 1, 2}
+        rng = np.random.default_rng(102)
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            X = rng.integers(0, 2, size=(n, 2)).astype(float)
+            Y = rng.integers(0, 2, size=(n, 2)).astype(float)
+            assert exact_w2(X, Y, method="assignment") == exact_w2(
+                X, Y, method="brute")
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 300])
+    def test_permuted_copy_is_matched_back(self, n):
+        rng = np.random.default_rng(103 + n)
+        X = rng.random((n, 4))
+        perm = rng.permutation(n)
+        Y = X[perm]
+        assert exact_w2(X, Y) == 0.0
+        cols, total = solve_assignment(_sq_dists(X, Y))
+        assert np.array_equal(cols, np.argsort(perm))
+        assert total == 0.0
+
+    def test_empty_matrix(self):
+        cols, total = solve_assignment(np.zeros((0, 0)))
+        assert cols.shape == (0,) and total == 0.0
+
+    @pytest.mark.parametrize("cost", [[[np.nan, 1.0], [1.0, 0.0]],
+                                      [[np.inf, np.inf], [1.0, 0.0]],
+                                      [[0.0, 1.0], [-np.inf, 0.0]]])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="finite"):
+            solve_assignment(cost)
+
+    def test_non_square_cost_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_assignment(np.zeros((2, 3)))
 
 
 class TestComparisonHarness:
