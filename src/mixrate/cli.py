@@ -299,7 +299,7 @@ def _verify_bank(seed: int) -> tuple[int, int, list[str]]:
         h = rng.normal(size=4)
         rep = empirical.verify_variance_bound(P, pi, h, q=int(rng.integers(1, 30)), r=4)
         check(f"variance_bound_{trial}", rep.holds)
-    # tau_q cross-check
+    # tau_q is the first crossing: beta_tau <= tau * slope, and not at tau - 1
     from .classes import EntropyModel
     ent = EntropyModel(alpha=2.0, sigma=1.0, b=1.0)
     for trial in range(10):
@@ -308,9 +308,11 @@ def _verify_bank(seed: int) -> tuple[int, int, list[str]]:
                                     scale=1.0, exponent=float(rng.uniform(0.3, 3.0)))
         delta = float(rng.uniform(0.05, 1.0))
         n = int(rng.integers(100, 5000))
-        check(f"tau_q_agree_{trial}",
-              rates.tau_q(prof, ent, delta, n, method="scan")
-              == rates.tau_q(prof, ent, delta, n, method="bisect"))
+        tau = rates.tau_q(prof, ent, delta, n)
+        slope = rates._entropy_dyadic_sum(ent, delta) / n
+        check(f"tau_q_first_crossing_{trial}",
+              prof.coefficient(tau) <= tau * slope
+              and (tau == 0 or prof.coefficient(tau - 1) > (tau - 1) * slope))
     # sinkhorn sanities
     X = rng.normal(size=(12, 2))
     Y = rng.normal(size=(12, 2))

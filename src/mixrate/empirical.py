@@ -225,26 +225,15 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
 def pava_isotonic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators: exact minimizer of sum (y_i - f_i)^2 over
     non-decreasing f at sorted abscissae x."""
+    from scipy.optimize import isotonic_regression
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     if np.any(np.diff(x) < 0):
         raise ValueError("x must be sorted")
-    # blocks as (level, weight) with stack-based merging
-    levels, weights, sizes = [], [], []
-    for yi in y:
-        levels.append(yi)
-        weights.append(1.0)
-        sizes.append(1)
-        while len(levels) > 1 and levels[-2] > levels[-1]:
-            w = weights[-2] + weights[-1]
-            lv = (levels[-2] * weights[-2] + levels[-1] * weights[-1]) / w
-            sz = sizes[-2] + sizes[-1]
-            levels[-2:] = [lv]
-            weights[-2:] = [w]
-            sizes[-2:] = [sz]
-    return np.repeat(levels, sizes)
+    return isotonic_regression(y).x
 
 
 def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,

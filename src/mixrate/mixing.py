@@ -364,8 +364,7 @@ def exact_beta_markov(transition, stationary,
     first, except P^3 = (P @ P) @ P.  The row TV distances are reduced a
     block of at most 4096 matrix entries at a time.
     """
-    # Python ints keep a scalar call (tau_q makes thousands) close to the
-    # cost of its matrix products
+    # Python ints keep a scalar call close to the cost of its matrix products
     gaps = np.atleast_1d(q).tolist()
     if min(gaps, default=0) < 0:
         raise ValueError("gap q must be >= 0")
@@ -412,6 +411,8 @@ def _check_binning(n: int, gaps: np.ndarray, m_bins: int) -> None:
     if n < 10 * m_bins * m_bins:
         raise EstimationError(
             f"need n >= {10 * m_bins * m_bins} observations for m_bins={m_bins}, got {n}")
+    if np.any(gaps < 1):
+        raise EstimationError("gap q must be >= 1")
     if np.any(gaps >= n // 2):
         raise EstimationError("gap q must be < n/2")
 

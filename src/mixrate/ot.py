@@ -20,12 +20,19 @@ from .empirical import generate, slope_fit
 from .rates import ot_schedule
 
 
+def _cloud(X) -> np.ndarray:
+    """A point cloud as an (n, d) float array; 1-D input is n points on the line."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2):
+        raise ValueError("clouds must be 1-D or 2-D arrays of shape (n, d)")
+    return X[:, None] if X.ndim == 1 else X
+
+
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared distances, shape (m, n), built a block of rows at a
     time so the (m, n, d) differences are never held at once. Each entry is
     the same length-d reduction as the full broadcast, bit for bit."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X, Y = _cloud(X), _cloud(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError("dimension mismatch")
     m, (n, d) = X.shape[0], Y.shape
@@ -176,12 +183,10 @@ def exact_w2(X, Y, method: str = "auto") -> float:
     assignment solver (``solve_assignment``: column reduction plus shortest
     augmenting paths with lazy duals, after Jonker & Volgenant 1987 and
     Crouse 2016); ``method`` forces a specific solver (assignment / sorted /
-    brute) for cross-checks. Clouds are (n, d) arrays with n >= 1.
+    brute) for cross-checks. Clouds are (n, d) arrays with n >= 1, or 1-D
+    arrays of n points on the line.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ValueError("clouds must be 2-D arrays of shape (n, d)")
+    X, Y = _cloud(X), _cloud(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError("dimension mismatch")
     if X.shape[0] != Y.shape[0]:

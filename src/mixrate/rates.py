@@ -81,59 +81,49 @@ def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
 # tau_q
 
 
-def _entropy_dyadic_sum(entropy: EntropyModel, delta: float) -> float:
-    """1 + sum over k >= 0 with 2**(-k) sigma >= delta of H(2**(-k) sigma)."""
-    total = 1.0
-    k = 0
-    while entropy.sigma * 2.0 ** (-k) >= delta:
-        total += entropy_eval(entropy, entropy.sigma * 2.0 ** (-k))
-        k += 1
-    return total
+def _entropy_dyadic_sum(entropy: EntropyModel,
+                        delta: float | np.ndarray) -> float | np.ndarray:
+    """1 + sum over k >= 0 with 2**(-k) sigma >= delta of H(2**(-k) sigma), for
+    a scale delta (a float) or an array of scales (an array), read off one
+    sequential cumsum of the terms: bit for bit the one-at-a-time sum."""
+    deltas = np.atleast_1d(delta)
+    scales = []
+    while entropy.sigma * 2.0 ** (-len(scales)) >= deltas.min():
+        scales.append(entropy.sigma * 2.0 ** (-len(scales)))
+    sums = np.cumsum([1.0] + [entropy_eval(entropy, u) for u in scales])
+    # number of scales >= each delta (the scales decrease, so -scales increase)
+    counts = np.searchsorted(-np.array(scales), -deltas, side="right")
+    return float(sums[counts[0]]) if np.ndim(delta) == 0 else sums[counts]
 
 
-def tau_q(profile: MixingProfile, entropy: EntropyModel, delta: float, n: int,
-          method: str = "bisect") -> int:
-    """Smallest q in [0, n] with beta_q <= (q/n) * (1 + dyadic entropy sum).
+def _first_crossings(profile: MixingProfile, slopes: Sequence[float],
+                     n: int) -> list[int]:
+    """For each slope s, the first q in [0, n] with beta_q <= q * s, read off
+    one beta array that doubles in length (q_max = 1, 2, 4, ..., capped at
+    n) until every slope has crossed; ``ValueError`` if some slope never does."""
+    q_max = 1
+    while True:
+        beta = profile.coefficients(q_max)
+        qs = np.arange(q_max + 1)
+        firsts = [int(np.argmax(beta <= qs * s)) for s in slopes]
+        if all(beta[q] <= q * s for q, s in zip(firsts, slopes)):  # argmax is 0 if none
+            return firsts
+        if q_max == n:
+            raise ValueError("no admissible q in [0, n]")
+        q_max = min(2 * q_max, n)
 
-    The left side is non-increasing and the right side increasing in q, so
-    the first crossing is found by galloping up from q = 1 through 1, 2, 4,
-    ... (capped at n) and bisecting the last doubling (``"bisect"``), or by
-    the linear scan that the tests and ``mixrate verify`` use as its
-    reference (``"scan"``).  Galloping keeps the probes near the crossing,
-    which for fast-mixing profiles sits at small q whatever n is.  Raises
-    ``ValueError`` when no q in [0, n] crosses or the profile does not
-    describe beta-mixing.
-    """
+
+def tau_q(profile: MixingProfile, entropy: EntropyModel, delta: float,
+          n: int) -> int:
+    """Smallest q in [0, n] with beta_q <= (q/n) * (1 + dyadic entropy sum),
+    by one ``_first_crossings`` search.  Raises ``ValueError`` when no q in
+    [0, n] crosses or the profile does not describe beta-mixing."""
     if not (0 < delta <= entropy.sigma):
         raise ValueError("delta must lie in (0, sigma]")
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_beta(profile)
-    slope = _entropy_dyadic_sum(entropy, delta) / n
-
-    def crossed(q: int) -> bool:
-        return profile.coefficient(q) <= q * slope
-
-    if method == "scan":
-        for q in range(n + 1):
-            if crossed(q):
-                return q
-        raise ValueError("no admissible q in [0, n]")
-    if method != "bisect":
-        raise ValueError(f"unknown method {method!r}")
-    lo, hi = 0, 1
-    while not crossed(hi):
-        if hi == n:
-            raise ValueError("no admissible q in [0, n]")
-        lo, hi = hi, min(2 * hi, n)
-    # crossed(hi) True, and crossed(lo) False unless lo == 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi if not crossed(lo) else lo
+    return _first_crossings(profile, [_entropy_dyadic_sum(entropy, delta) / n], n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +139,15 @@ def finite_class_bound(sigma: float, b: float, cardinality: int, n: int,
         raise ValueError("cardinality must be >= 1")
     if sigma <= 0 or b <= 0:
         raise ValueError("sigma and b must be > 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _require_beta(profile)
+    c = c_phi(r)  # rejects r <= 2 before 1 - 2/r is formed
     p = 1.0 - 2.0 / r
     coeffs = profile.coefficients(n)
     lam = np.cumsum(coeffs ** p) / p
     q = np.arange(1, n + 1)
-    pi_q = np.sqrt(c_phi(r) ** 2 + 2.0 * lam[1:])
+    pi_q = np.sqrt(c ** 2 + 2.0 * lam[1:])
     log_card = 1.0 + math.log(cardinality)
     betas = coeffs[1:]
     vals = (sigma * pi_q * math.sqrt(log_card)
@@ -189,20 +182,22 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     remainder b * tau_q(sigma) * (1 + H(sigma)) / sqrt(n).
 
     R1(u) is the non-increasing majorant of Lambda(tau(u)) * (1 + H(u)) on
-    a geometric u-grid ending at sigma.  A smaller u only raises the slope
-    of tau's crossing condition, so one beta array up to tau(sigma) serves
-    every node."""
+    a geometric u-grid ending at sigma.  The nodes share few distinct
+    slopes of tau's crossing condition, and one first-crossing search
+    (``_first_crossings``) reads every node's tau off one beta array."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _require_beta(profile)
     sigma, b = entropy.sigma, entropy.b
     sqrt_n = math.sqrt(n)
     a_hi = 8.0 * sqrt_n * sigma
     u_floor = sigma * 1e-9 / sqrt_n
     n_pts = max(2, int(_MAIN_BOUND_GRID_PER_DECADE * math.log10(sigma / u_floor)) + 1)
     grid = np.geomspace(u_floor, sigma, n_pts)  # grid[-1] == sigma exactly
-    beta = profile.coefficients(tau_q(profile, entropy, sigma, n))
-    qs = np.arange(len(beta))
-    slopes = [_entropy_dyadic_sum(entropy, u) / n for u in grid]
+    slopes = (_entropy_dyadic_sum(entropy, grid) / n).tolist()
     # the dyadic sum is a step function of u: few distinct slopes
-    first = {s: int(np.argmax(beta <= qs * s)) for s in set(slopes)}
+    steps = sorted(set(slopes))
+    first = dict(zip(steps, _first_crossings(profile, steps, n)))
     taus = [first[s] for s in slopes]
     distinct = sorted(set(taus))
     lam = dict(zip(distinct, lambda_phi_beta(profile, distinct, r).tolist()))

@@ -21,6 +21,7 @@ from mixrate.ot import exact_w2, sinkhorn_divergence, t_eps_k
 from mixrate.rates import (BoundaryParameterError, Regime,
                            application_exponents, boundary_curve, pi_n,
                            rate_exponent, solve_delta_n, tau_q)
+from test_rates import frozen_tau_q
 
 ORACLE = uniform01_cdf()
 N_GRID = [2**k for k in range(10, 17)]
@@ -129,9 +130,9 @@ def test_criterion_5_block_length_contract():
                              exponent=float(rng.uniform(0.3, 3.0)))
         n = int(rng.integers(100, 5000))
         deltas = np.sort(rng.uniform(0.02, 1.0, size=3))
-        taus = [tau_q(prof, ent, float(d), n, method="scan") for d in deltas]
+        taus = [tau_q(prof, ent, float(d), n) for d in deltas]
         ok &= taus[0] <= taus[1] <= taus[2]  # non-decreasing in delta
-        ok &= taus[1] == tau_q(prof, ent, float(deltas[1]), n, method="bisect")
+        ok &= taus[1] == frozen_tau_q(prof, ent, float(deltas[1]), n, "scan")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
     assert report(5, "block-length selector: independent case, monotonicity, "

@@ -235,7 +235,36 @@ class TestVarianceBound:
                 [float, float, bool, float, float]
 
 
+def frozen_stack_pava(y):
+    """The hand-written stack pool-adjacent-violators that scipy's
+    isotonic_regression replaced."""
+    levels, weights, sizes = [], [], []
+    for yi in np.asarray(y, dtype=float):
+        levels.append(yi)
+        weights.append(1.0)
+        sizes.append(1)
+        while len(levels) > 1 and levels[-2] > levels[-1]:
+            w = weights[-2] + weights[-1]
+            lv = (levels[-2] * weights[-2] + levels[-1] * weights[-1]) / w
+            levels[-2:] = [lv]
+            weights[-2:] = [w]
+            sizes[-2:] = [sizes[-2] + sizes[-1]]
+    return np.repeat(levels, sizes)
+
+
 class TestPavaIsotonic:
+    def test_matches_frozen_stack_pava(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            y = rng.normal(size=n) + rng.uniform(-0.05, 0.05) * np.arange(n)
+            if rng.random() < 0.3:
+                y = np.round(y, 1)  # ties
+            out = pava_isotonic(np.arange(float(n)), y)
+            assert out.shape == (n,)
+            np.testing.assert_allclose(out, frozen_stack_pava(y),
+                                       rtol=1e-12, atol=1e-12)
+
     def test_already_monotone_unchanged(self):
         y = np.array([0.0, 0.5, 0.5, 2.0])
         out = pava_isotonic(np.arange(4.0), y)

@@ -370,6 +370,12 @@ class TestEstimateBetaBinning:
         with pytest.raises(mixing.EstimationError, match="n >="):
             mixing.estimate_beta_binning(s, 2, 8)
 
+    def test_gap_below_one_rejected(self):
+        s = mixing.gen_finite_markov(P_LAZY, np.array([0.0, 1.0]), 2000, seed=1)
+        for q in (0, -1, [1, 0, 5]):
+            with pytest.raises(mixing.EstimationError, match="q must be >= 1"):
+                mixing.estimate_beta_binning(s, q, 2)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("make", [

@@ -282,6 +282,22 @@ class TestExactW2:
             assert dxy == pytest.approx(dyx, abs=1e-9)
             assert dxy <= dxz + dzy + 1e-9
 
+    def test_one_dimensional_input_is_points_on_the_line(self):
+        x, y = [0.1, 0.5, 0.9], [0.2, 0.6, 0.7]
+        X, Y = np.array(x)[:, None], np.array(y)[:, None]
+        assert exact_w2(x, y) == exact_w2(X, Y) == pytest.approx(0.02)
+        assert exact_w2(x, y, method="assignment") == \
+            exact_w2(X, Y, method="assignment")
+        assert t_eps_k(x, y, 0.5, 5) == t_eps_k(X, Y, 0.5, 5)
+        assert exact_w2([[0.0, 0.0]], [[3.0, 4.0]]) == 25.0
+
+    def test_zero_or_three_dimensional_input_rejected(self):
+        for bad in (np.float64(0.5), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="1-D or 2-D"):
+                exact_w2(bad, bad)
+            with pytest.raises(ValueError, match="1-D or 2-D"):
+                t_eps_k(bad, bad, 0.5, 1)
+
     def test_zero_iff_equal_multisets(self):
         X = np.array([[0.1], [0.5], [0.5]])
         perm = X[[2, 0, 1]]

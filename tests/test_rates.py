@@ -85,6 +85,58 @@ class TestLambdaPhiBeta:
         assert lambda_phi_beta(prof, q + 1, r) >= lambda_phi_beta(prof, q, r)
 
 
+def frozen_dyadic_sum(entropy, delta):
+    """The scalar dyadic entropy sum, one term added at a time."""
+    total = 1.0
+    k = 0
+    while entropy.sigma * 2.0 ** (-k) >= delta:
+        total += entropy_eval(entropy, entropy.sigma * 2.0 ** (-k))
+        k += 1
+    return total
+
+
+def frozen_tau_q(profile, entropy, delta, n, method):
+    """tau_q before its one array search: a linear scan (``"scan"``) or a
+    galloping bisection (``"bisect"``) over scalar coefficients."""
+    slope = frozen_dyadic_sum(entropy, delta) / n
+
+    def crossed(q):
+        return profile.coefficient(q) <= q * slope
+
+    if method == "scan":
+        for q in range(n + 1):
+            if crossed(q):
+                return q
+        raise ValueError("no admissible q in [0, n]")
+    lo, hi = 0, 1
+    while not crossed(hi):
+        if hi == n:
+            raise ValueError("no admissible q in [0, n]")
+        lo, hi = hi, min(2 * hi, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi if not crossed(lo) else lo
+
+
+class TestEntropyDyadicSum:
+    @pytest.mark.parametrize("ent", [
+        EntropyModel(alpha=4.0, sigma=1.0, b=1.0),
+        EntropyModel(alpha=0.5, V=1.0, B=10.0, sigma=0.3, b=1.0),
+        EntropyModel(alpha=0.0, sigma=0.7, b=1.0),
+    ], ids=["alpha4", "log_factor", "alpha0"])
+    def test_array_matches_scalar_loop(self, ent):
+        deltas = np.concatenate((np.geomspace(ent.sigma * 1e-12, ent.sigma, 500),
+                                 ent.sigma * 2.0 ** -np.arange(40.0)))
+        frozen = [frozen_dyadic_sum(ent, float(d)) for d in deltas]
+        assert rates._entropy_dyadic_sum(ent, deltas).tolist() == frozen
+        assert [rates._entropy_dyadic_sum(ent, float(d))
+                for d in deltas[::37]] == frozen[::37]
+
+
 class TestTauQ:
     ENT = EntropyModel(alpha=4.0, sigma=1.0, b=1.0)
 
@@ -103,8 +155,9 @@ class TestTauQ:
     def test_scan_matches_bisect_on_pinned_config(self):
         prof = poly(0.5)
         n = 10**4
-        assert tau_q(prof, self.ENT, 0.5, n, "scan") == \
-            tau_q(prof, self.ENT, 0.5, n, "bisect")
+        scan = frozen_tau_q(prof, self.ENT, 0.5, n, "scan")
+        assert frozen_tau_q(prof, self.ENT, 0.5, n, "bisect") == scan
+        assert tau_q(prof, self.ENT, 0.5, n) == scan
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6))
@@ -116,8 +169,9 @@ class TestTauQ:
                            sigma=float(rng.uniform(0.2, 1.0)), b=1.0)
         delta = float(rng.uniform(0.01, 1.0)) * ent.sigma
         n = int(rng.integers(10, 5000))
-        assert tau_q(prof, ent, delta, n, "scan") == \
-            tau_q(prof, ent, delta, n, "bisect")
+        scan = frozen_tau_q(prof, ent, delta, n, "scan")
+        assert frozen_tau_q(prof, ent, delta, n, "bisect") == scan
+        assert tau_q(prof, ent, delta, n) == scan
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000, 20_000, 100_000])
     def test_galloping_bisect_matches_scan_exact_markov(self, n):
@@ -131,16 +185,17 @@ class TestTauQ:
             prof = MixingProfile(kind=ProfileKind.EXACT_MARKOV, transition=P,
                                  stationary=stationary_distribution(P))
             for delta in (1e-9, 1e-3, 0.1, 1.0):
-                scan = tau_q(prof, self.ENT, delta, n, "scan")
-                assert tau_q(prof, self.ENT, delta, n, "bisect") == scan
+                scan = frozen_tau_q(prof, self.ENT, delta, n, "scan")
+                assert frozen_tau_q(prof, self.ENT, delta, n, "bisect") == scan
                 assert tau_q(prof, self.ENT, delta, n) == scan
 
     @pytest.mark.parametrize("n", [3, 1000, 20_000, 100_000])
     def test_galloping_bisect_matches_scan_polynomial(self, n):
         for expo in (0.2, 0.5, 1.0, 3.0):
             for delta in (0.01, 0.3, 1.0):
-                scan = tau_q(poly(expo), self.ENT, delta, n, "scan")
-                assert tau_q(poly(expo), self.ENT, delta, n, "bisect") == scan
+                scan = frozen_tau_q(poly(expo), self.ENT, delta, n, "scan")
+                assert frozen_tau_q(poly(expo), self.ENT, delta, n,
+                                    "bisect") == scan
                 assert tau_q(poly(expo), self.ENT, delta, n) == scan
 
     @pytest.mark.parametrize("n", [1, 64, 20_000])
@@ -148,12 +203,28 @@ class TestTauQ:
         class NeverMixes:  # a corrupt profile: beta_q <= x never holds
             flavor = MixingFlavor.BETA
 
-            def coefficient(self, q):
-                return math.nan
+            def coefficients(self, q_max):
+                return np.full(q_max + 1, math.nan)
 
-        for method in ("scan", "bisect"):
-            with pytest.raises(ValueError, match="no admissible q"):
-                tau_q(NeverMixes(), self.ENT, 0.5, n, method)
+        with pytest.raises(ValueError, match="no admissible q"):
+            tau_q(NeverMixes(), self.ENT, 0.5, n)
+        with pytest.raises(ValueError, match="no admissible q"):
+            main_bound(self.ENT, NeverMixes(), n, 4.0)
+
+    def test_first_crossing_of_non_monotone_profile(self):
+        class Dips:  # beta = 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, ...: not monotone
+            flavor = MixingFlavor.BETA
+
+            def coefficient(self, q):
+                return 0.0 if q in (3, 8) else 1.0
+
+            def coefficients(self, q_max):
+                return np.array([self.coefficient(q) for q in range(q_max + 1)])
+
+        ent, n = EntropyModel(alpha=0.0, sigma=1.0, b=1.0), 10**6
+        assert tau_q(Dips(), ent, 1.0, n) == 3
+        assert frozen_tau_q(Dips(), ent, 1.0, n, "scan") == 3
+        assert frozen_tau_q(Dips(), ent, 1.0, n, "bisect") == 8
 
     def test_lambda_of_tau_non_decreasing_in_delta(self):
         prof = poly(0.7)
@@ -197,6 +268,14 @@ class TestFiniteClassBound:
         assert finite_class_bound(1.0, 1.0, 10, 500, slow, 4) >= \
             finite_class_bound(1.0, 1.0, 10, 500, fast, 4)
 
+    @pytest.mark.filterwarnings("error")
+    def test_inputs_checked_at_entry(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            finite_class_bound(1.0, 1.0, 4, 0, IID, 4.0)
+        for r in (2.0, 1.5):
+            with pytest.raises(ValueError, match="r must exceed 2"):
+                finite_class_bound(1.0, 1.0, 4, 100, IID, r)
+
 
 class _MemoCoefficients:
     """A profile whose scalar coefficients are computed once per gap, so the
@@ -226,7 +305,7 @@ def frozen_main_bound(entropy, profile, n, r):
     u_floor = sigma * 1e-9 / sqrt_n
     n_pts = max(2, int(64 * math.log10(sigma / u_floor)) + 1)
     grid = np.geomspace(u_floor, sigma, n_pts)
-    taus = [tau_q(profile, entropy, d, n, "bisect") for d in grid]
+    taus = [frozen_tau_q(profile, entropy, d, n, "bisect") for d in grid]
     lam = {t: lambda_phi_beta(profile, t, r) for t in set(taus)}
     psi = np.maximum.accumulate(np.array([lam[t] for t in taus]))
     h = np.array([entropy_eval(entropy, u) for u in grid])
@@ -260,7 +339,7 @@ def frozen_main_bound(entropy, profile, n, r):
             if a_hi / a_lo < 1.0 + 1e-9:
                 break
         a = a_hi
-    tq = tau_q(profile, entropy, sigma, n, "bisect")
+    tq = frozen_tau_q(profile, entropy, sigma, n, "bisect")
     lam_sigma = lambda_phi_beta(profile, tq, r)
     tail = b * tq * (1.0 + entropy_eval(entropy, sigma)) / sqrt_n
     return RateBound(a=a, tail_term=tail, total=a + tail, tau_at_sigma=tq,
@@ -349,6 +428,11 @@ class TestMainBound:
         for k in (8, 12, 16):
             rb = main_bound(self.ENT, IID, 2**k, 4.0)
             assert rb.total >= self.ENT.sigma * c_phi(4) / 4
+
+    def test_n_checked_at_entry(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                main_bound(self.ENT, IID, n, 4.0)
 
     def test_budget_within_admissible_range(self):
         rb = main_bound(self.ENT, poly(1.0), 4096, 4.0)
