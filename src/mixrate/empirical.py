@@ -150,11 +150,22 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> flo
     weights = np.asarray(weights, dtype=float)
     if np.all(values * weights == 0):
         return 0.0
+    # For weights >= 0 and finite r, ok(t) and root = ||h||_r each carry a
+    # relative rounding of O(m eps), far inside the band: outside it ok(t)
+    # is t > root, so only the probes inside it evaluate the sum
+    top = float(values.max())
+    with np.errstate(all="ignore"):
+        root = top * float(np.dot(weights, (values / top) ** r)) ** (1.0 / r)
+    band = 1e-12 * (len(values) + 6) * root
+    if not (np.all(weights >= 0) and math.isfinite(r) and 0 < root < math.inf):
+        band = math.inf
 
     def ok(t):
+        if abs(t - root) > band:
+            return t > root
         return float(np.dot(weights, (values / t) ** r)) <= 1.0
 
-    hi = max(float(values.max()), 1e-300)
+    hi = max(top, 1e-300)
     lo = hi * 1e-6
     while not ok(hi):
         hi *= 2.0
@@ -181,40 +192,44 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
 
     ``q`` (each >= 1) and ``r`` (each > 2) are numbers or 1-D grids: two
     numbers give one report, otherwise a list over q of lists over r.  The
-    covariances, the profile, and one Lambda grid and Orlicz norm per r are
-    computed once per call; each case then does a single call's arithmetic.
+    covariances, one q-by-r Lambda table over a single beta array, and one
+    Orlicz norm per r are computed once per call; each case then does a
+    single call's arithmetic.
     """
     qs = np.atleast_1d(q).tolist()
     rs = np.atleast_1d(r).tolist()
     if min(qs, default=1) < 1 or min(rs, default=3) <= 2:
         raise ValueError("q must be >= 1 and r must exceed 2")
-    transition = np.asarray(transition, dtype=float)
-    stationary = np.asarray(stationary, dtype=float)
-    h = np.asarray(h, dtype=float)
-    mu = float(np.dot(stationary, h))
-    hc = h - mu
-    var0 = float(np.dot(stationary, hc * hc))
-    cov = [var0]  # cov[k] = Cov(h(X_0), h(X_k))
-    pk = np.eye(len(h))
-    for _ in range(1, max(qs, default=1)):
-        pk = pk @ transition
-        cov.append(float(stationary @ (hc * (pk @ hc))))
     profile = mixing.MixingProfile(
         kind=mixing.ProfileKind.EXACT_MARKOV, flavor=mixing.MixingFlavor.BETA,
         transition=transition, stationary=stationary)
-    per_r = [(lambda_phi_beta(profile, qs, ri).tolist(),
-              orlicz_norm_finite(h, stationary, ri), c_phi(ri) ** 2) for ri in rs]
+    transition, stationary = profile.transition, profile.stationary
+    h = np.asarray(h, dtype=float)
+    hc = h - float(np.dot(stationary, h))
+    cov = [float(np.dot(stationary, hc * hc))]  # cov[k] = Cov(h(X_0), h(X_k))
+    q_max = max(qs, default=1)
+    pk, powers = np.eye(len(h)), []
+    for k in range(1, q_max):
+        pk = pk @ transition
+        powers.append(pk)
+        if len(powers) * pk.size >= 4096 or k == q_max - 1:
+            # stacked, each P^k meets the gemv and dot kernels of
+            # stationary @ (hc * (P^k @ hc)), so the rounding is the same
+            cov += (stationary @ (hc * (np.array(powers) @ hc))[..., None]).ravel().tolist()
+            powers = []
+    lams = lambda_phi_beta(profile, qs, rs).tolist()  # one beta array
+    per_r = [(orlicz_norm_finite(h, stationary, ri), c_phi(ri) ** 2) for ri in rs]
     reports = []
-    for i, qi in enumerate(qs):
-        lhs = qi * var0
+    for qi, lam_row in zip(qs, lams):
+        lhs = qi * cov[0]
         for k in range(1, qi):
             lhs += 2 * (qi - k) * cov[k]
         reports.append([])
-        for lam, norm, c2 in per_r:
-            rhs = qi * norm ** 2 * (c2 + 2.0 * lam[i])
+        for lam, (norm, c2) in zip(lam_row, per_r):
+            rhs = qi * norm ** 2 * (c2 + 2.0 * lam)
             reports[-1].append(VarianceBoundReport(
                 lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9 * rhs,
-                orlicz_norm=norm, lambda_value=lam[i]))
+                orlicz_norm=norm, lambda_value=lam))
     return reports[0][0] if np.ndim(q) == np.ndim(r) == 0 else reports
 
 

@@ -39,6 +39,7 @@ class EstimationError(ValueError):
 
 
 _STOCHASTIC_TOL = 1e-12
+_STATIONARY_TOL = 1e-10  # pi P = pi, and pi's sum and sign
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 200_000
 
@@ -47,12 +48,23 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     transition = np.asarray(transition, dtype=float)
     if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
         raise ConstructionError("transition matrix must be square")
-    if np.any(transition < -_STOCHASTIC_TOL):
+    if (transition < -_STOCHASTIC_TOL).any():
         raise ConstructionError("transition matrix has negative entries")
     rows = transition.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > _STOCHASTIC_TOL):
+    if (np.abs(rows - 1.0) > _STOCHASTIC_TOL).any():
         raise ConstructionError("rows of transition matrix must sum to 1")
     return transition
+
+
+def _check_stationary(stationary, m: int) -> np.ndarray:
+    """A probability vector of length m, within _STATIONARY_TOL: pi P = pi
+    alone admits any multiple of pi."""
+    pi = np.asarray(stationary, dtype=float)
+    if (pi.shape != (m,) or not (pi >= -_STATIONARY_TOL).all()
+            or not abs(float(pi.sum()) - 1.0) <= _STATIONARY_TOL):
+        raise ConstructionError(
+            f"stationary vector must be a probability vector of length {m}")
+    return pi
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -77,7 +89,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
         raise ConstructionError(
             "power iteration did not converge; chain may be reducible or periodic")
     pi = pi / pi.sum()
-    if np.abs(pi @ transition - pi).max() > 1e-10:
+    if np.abs(pi @ transition - pi).max() > _STATIONARY_TOL:
         raise ConstructionError("stationary vector check failed")
     return pi
 
@@ -106,8 +118,8 @@ class MixingProfile:
     def __post_init__(self):
         if self.kind == ProfileKind.EXACT_MARKOV:
             t = _check_stochastic(self.transition)
-            pi = np.asarray(self.stationary, dtype=float)
-            if np.abs(pi @ t - pi).max() > 1e-10:
+            pi = _check_stationary(self.stationary, len(t))
+            if np.abs(pi @ t - pi).max() > _STATIONARY_TOL:
                 raise ConstructionError("stationary vector does not satisfy pi P = pi")
             object.__setattr__(self, "transition", t)
             object.__setattr__(self, "stationary", pi)
@@ -361,37 +373,41 @@ def exact_beta_markov(transition, stationary,
     a 1-D grid of gaps in any order (an array).  P^q is formed in the order
     of ``np.linalg.matrix_power``, so the rounding matches it: the product
     of the repeated squares P^(2^k) over the set bits k of q, low bits
-    first, except P^3 = (P @ P) @ P.  The row TV distances are reduced a
-    block of at most 4096 matrix entries at a time.
+    first, except P^3 = (P @ P) @ P.  A block of at most 4096 matrix
+    entries is formed at a time, one stacked product per bit, and its row
+    TV distances are reduced together.  ``stationary`` must be
+    a probability vector (:class:`ConstructionError` otherwise).
     """
     # Python ints keep a scalar call close to the cost of its matrix products
-    gaps = np.atleast_1d(q).tolist()
+    grid = np.atleast_1d(q)
+    gaps = grid.tolist()
     if min(gaps, default=0) < 0:
         raise ValueError("gap q must be >= 0")
     transition = _check_stochastic(transition)
-    pi = np.asarray(stationary, dtype=float)
+    pi = _check_stationary(stationary, len(transition))
     squares = [transition]
     for _ in range(1, max(gaps, default=0).bit_length()):
         squares.append(squares[-1] @ squares[-1])
     out = np.ones(len(gaps))
-    nonzero = [j for j, gap in enumerate(gaps) if gap]
+    nonzero = np.flatnonzero(grid)
     block = max(1, 4096 // transition.size)
     for start in range(0, len(nonzero), block):
         idx = nonzero[start:start + block]
-        powers = []
-        for j in idx:
-            gap = gaps[j]
-            if gap == 3:
-                pq = squares[1] @ transition
-            else:
-                pq = None
-                for k in range(gap.bit_length()):
-                    if (gap >> k) & 1:
-                        pq = squares[k] if pq is None else pq @ squares[k]
-            powers.append(pq)
-        tv_rows = 0.5 * np.abs(np.array(powers) - pi).sum(axis=2)
-        for j, row in zip(idx, tv_rows):
-            out[j] = pi @ row
+        block_gaps = [gaps[j] for j in idx.tolist()]
+        # start at the lowest set bit's square; bit k then multiplies every
+        # power with a lower bit set by P^(2^k), one stacked product whose
+        # slices each meet the kernel of a single product
+        powers = np.array(squares)[[(gap & -gap).bit_length() - 1 for gap in block_gaps]]
+        for k in range(1, len(squares)):
+            sel = [i for i, gap in enumerate(block_gaps)
+                   if gap >> k & 1 and gap & ((1 << k) - 1)]
+            powers[sel] = powers[sel] @ squares[k]
+        three = [i for i, gap in enumerate(block_gaps) if gap == 3]
+        if three:
+            powers[three] = squares[1] @ transition
+        tv_rows = 0.5 * np.abs(powers - pi).sum(axis=2)
+        # stacked, each row meets the dot kernel of pi @ row
+        out[idx] = (pi @ tv_rows[..., None]).ravel()
     return float(out[0]) if np.ndim(q) == 0 else out
 
 

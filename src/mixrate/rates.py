@@ -57,24 +57,33 @@ def c_phi(r: float) -> float:
 
 
 def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
-                    r: float) -> float | np.ndarray:
+                    r: float | Sequence[float]) -> float | np.ndarray:
     """Cumulative Orlicz-weighted mixing mass
     sum_{i=0}^q integral_0^{beta_i} u**(-2/r) du = (1-2/r)^{-1} sum beta_i**(1-2/r).
 
-    ``q`` is a gap (a float is returned) or a 1-D grid of gaps (an array).
-    One ``profile.coefficients`` call up to the largest gap serves every gap,
-    so an exact Markov profile costs O(q log q) small matrix products.
+    ``q`` (gaps >= 0) and ``r`` (each > 2) are numbers or 1-D grids: two
+    numbers give a float, otherwise an array of shape q's shape + r's shape.
+    One ``profile.coefficients`` call up to the largest gap serves every
+    case, so an exact Markov profile costs O(q log q) small matrix products.
     """
-    if r <= 2:
-        raise ValueError("r must exceed 2")
     gaps = np.atleast_1d(q).tolist()
+    rs = np.atleast_1d(r).tolist()
+    if min(rs, default=3) <= 2:
+        raise ValueError("r must exceed 2")
     if min(gaps, default=0) < 0:
         raise ValueError("q must be >= 0")
     _require_beta(profile)
-    p = 1.0 - 2.0 / r
     coeffs = profile.coefficients(max(gaps, default=0))
-    out = np.array([np.sum(coeffs[:g + 1] ** p) / p for g in gaps])
-    return float(out[0]) if np.ndim(q) == 0 else out
+    out = np.array([_lambdas(coeffs, gaps, rj) for rj in rs]).T
+    return float(out[0, 0]) if np.ndim(q) == np.ndim(r) == 0 else \
+        out.reshape(np.shape(q) + np.shape(r))
+
+
+def _lambdas(coeffs: np.ndarray, gaps: Sequence[int], r: float) -> list[float]:
+    """Lambda(g) = (1-2/r)^{-1} sum_{i<=g} coeffs[i]**(1-2/r) for each gap g
+    of one beta array reaching the largest gap; callers check r > 2."""
+    p = 1.0 - 2.0 / r
+    return [float(np.sum(coeffs[:g + 1] ** p) / p) for g in gaps]
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +106,18 @@ def _entropy_dyadic_sum(entropy: EntropyModel,
 
 
 def _first_crossings(profile: MixingProfile, slopes: Sequence[float],
-                     n: int) -> list[int]:
+                     n: int) -> tuple[list[int], np.ndarray]:
     """For each slope s, the first q in [0, n] with beta_q <= q * s, read off
     one beta array that doubles in length (q_max = 1, 2, 4, ..., capped at
-    n) until every slope has crossed; ``ValueError`` if some slope never does."""
+    n) until every slope has crossed; returns the crossings and that array.
+    ``ValueError`` if some slope never crosses."""
     q_max = 1
     while True:
         beta = profile.coefficients(q_max)
         qs = np.arange(q_max + 1)
         firsts = [int(np.argmax(beta <= qs * s)) for s in slopes]
         if all(beta[q] <= q * s for q, s in zip(firsts, slopes)):  # argmax is 0 if none
-            return firsts
+            return firsts, beta
         if q_max == n:
             raise ValueError("no admissible q in [0, n]")
         q_max = min(2 * q_max, n)
@@ -123,7 +133,7 @@ def tau_q(profile: MixingProfile, entropy: EntropyModel, delta: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_beta(profile)
-    return _first_crossings(profile, [_entropy_dyadic_sum(entropy, delta) / n], n)[0]
+    return _first_crossings(profile, [_entropy_dyadic_sum(entropy, delta) / n], n)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +194,11 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     R1(u) is the non-increasing majorant of Lambda(tau(u)) * (1 + H(u)) on
     a geometric u-grid ending at sigma.  The nodes share few distinct
     slopes of tau's crossing condition, and one first-crossing search
-    (``_first_crossings``) reads every node's tau off one beta array."""
+    (``_first_crossings``) reads every node's tau and Lambda off one beta array."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if r <= 2:
+        raise ValueError("r must exceed 2")
     _require_beta(profile)
     sigma, b = entropy.sigma, entropy.b
     sqrt_n = math.sqrt(n)
@@ -197,10 +209,11 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     slopes = (_entropy_dyadic_sum(entropy, grid) / n).tolist()
     # the dyadic sum is a step function of u: few distinct slopes
     steps = sorted(set(slopes))
-    first = dict(zip(steps, _first_crossings(profile, steps, n)))
+    crossings, beta = _first_crossings(profile, steps, n)
+    first = dict(zip(steps, crossings))
     taus = [first[s] for s in slopes]
     distinct = sorted(set(taus))
-    lam = dict(zip(distinct, lambda_phi_beta(profile, distinct, r).tolist()))
+    lam = dict(zip(distinct, _lambdas(beta, distinct, r)))
     psi = np.maximum.accumulate([lam[t] for t in taus])  # non-decreasing in u
     h = np.array([entropy_eval(entropy, u) for u in grid])
     r1 = psi * (1.0 + h)

@@ -1,9 +1,13 @@
+import filecmp
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from mixrate.cli import SCHEMAS, config_hash, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -263,6 +267,19 @@ class TestVerifyCommand:
         assert report["failed"] == 0
         assert report["passed"] == 23
         assert "passed: 23" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,config,results", [
+    ("verify", None, ["verify.json"]),
+    ("phase", CONFIGS / "phase_default.json", ["phase.csv", "phase.svg"])])
+def test_rerun_in_one_process_is_byte_identical(tmp_path, command, config, results):
+    """A second run in the same process writes the same bytes."""
+    args = [command] + ([] if config is None else ["--config", str(config)])
+    for out in ("first", "second"):
+        assert main(args + ["--output-dir", str(tmp_path / out)]) == 0
+    for name in results:
+        assert filecmp.cmp(tmp_path / "first" / name, tmp_path / "second" / name,
+                           shallow=False), name
 
 
 class TestOutputDirEnv:

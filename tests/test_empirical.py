@@ -16,6 +16,32 @@ ORACLE = uniform01_cdf()
 IID_CFG = {"generator": "iid_uniform"}
 
 
+def frozen_orlicz_norm_finite(values, weights, r):
+    """orlicz_norm_finite as it was before probes outside a band around the
+    closed-form root were answered by comparison: every probe sums."""
+    values = np.abs(np.asarray(values, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    if np.all(values * weights == 0):
+        return 0.0
+
+    def ok(t):
+        return float(np.dot(weights, (values / t) ** r)) <= 1.0
+
+    hi = max(float(values.max()), 1e-300)
+    lo = hi * 1e-6
+    while not ok(hi):
+        hi *= 2.0
+    while ok(lo):
+        lo /= 2.0
+    while hi / lo > 1.0 + 1e-10:
+        mid = math.sqrt(lo * hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def frozen_verify_variance_bound(transition, stationary, h, q, r):
     """verify_variance_bound as it was when it took one (q, r) per call,
     with its Lambda(q) formula inlined: the reference that the grid form
@@ -37,7 +63,7 @@ def frozen_verify_variance_bound(transition, stationary, h, q, r):
         transition=transition, stationary=stationary)
     p = 1.0 - 2.0 / r
     lam = float(np.sum(profile.coefficients(q) ** p) / p)
-    norm = orlicz_norm_finite(h, stationary, r)
+    norm = frozen_orlicz_norm_finite(h, stationary, r)
     rhs = q * norm ** 2 * (c_phi(r) ** 2 + 2.0 * lam)
     return empirical.VarianceBoundReport(
         lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9 * rhs,
@@ -233,6 +259,105 @@ class TestVarianceBound:
             # a single call keeps Python scalars in every field
             assert [type(v) for v in vars(rep).values()] == \
                 [float, float, bool, float, float]
+
+
+def random_chain(rng, m):
+    P = rng.random((m, m)) + 0.05
+    P /= P.sum(axis=1, keepdims=True)
+    return P, mixing.stationary_distribution(P)
+
+
+def assert_matches_frozen(report, P, pi, h, q, r):
+    """``==`` to the frozen scalar copy on every field, with the same types."""
+    frozen = frozen_verify_variance_bound(P, pi, h, q, r)
+    assert report == frozen, (q, r)
+    assert [type(v) for v in vars(report).values()] == \
+        [type(v) for v in vars(frozen).values()] == [float, float, bool, float, float]
+
+
+class TestRepeatedCalls:
+    """Each call computes from its own arguments: scalar and grid calls in
+    any order, over many (chain, h) pairs and arrays changed in place
+    between calls, match the frozen scalar copy."""
+
+    def test_shuffled_calls_match_frozen(self):
+        rng = np.random.default_rng(5)
+        pairs = []
+        for m in (2, 3, 4, 5):
+            P, pi = random_chain(rng, m)
+            pairs += [(P, pi, rng.normal(size=m)) for _ in range(3)]
+        calls = [(j, int(q), r) for j in range(len(pairs))
+                 for q, r in zip(rng.integers(1, 40, size=6), (3, 4, 8, 2.5, 4, 3))]
+        calls += [(j, [int(q) for q in rng.integers(1, 40, size=4)], [4, 3])
+                  for j in range(len(pairs))]
+        for i in rng.permutation(len(calls)):
+            j, q, r = calls[i]
+            P, pi, h = pairs[j]
+            out = verify_variance_bound(P, pi, h, q, r)
+            if np.ndim(q) == 0:
+                assert_matches_frozen(out, P, pi, h, q, r)
+                continue
+            for qi, row in zip(q, out):
+                for ri, rep in zip(r, row):
+                    assert_matches_frozen(rep, P, pi, h, qi, ri)
+
+    def test_arrays_changed_in_place_between_calls(self):
+        P, pi = random_chain(np.random.default_rng(6), 4)
+        h = np.array([1.0, -0.5, 2.0, 0.25])
+        assert_matches_frozen(verify_variance_bound(P, pi, h, 12, 4), P, pi, h, 12, 4)
+        h[0] += 1.0
+        assert_matches_frozen(verify_variance_bound(P, pi, h, 12, 4), P, pi, h, 12, 4)
+        P[:] = P[::-1]
+        pi[:] = mixing.stationary_distribution(P)
+        assert_matches_frozen(verify_variance_bound(P, pi, h, 20, 4), P, pi, h, 20, 4)
+
+    def test_beta_built_once_per_call(self, monkeypatch):
+        """A criterion-4-shaped grid call builds the beta array once, not
+        once per r, and the Orlicz norm once per r."""
+        counts = {"beta": 0, "norm": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(mixing, "exact_beta_markov",
+                            counting("beta", mixing.exact_beta_markov))
+        monkeypatch.setattr(empirical, "orlicz_norm_finite",
+                            counting("norm", empirical.orlicz_norm_finite))
+        P, pi = random_chain(np.random.default_rng(7), 5)
+        for h in np.random.default_rng(8).normal(size=(2, 5)):
+            verify_variance_bound(P, pi, h, range(1, 51), (3, 4, 8))
+        assert counts == {"beta": 2, "norm": 6}
+
+
+class TestOrliczNormBisection:
+    """Probes far from the closed-form root are answered by comparison;
+    the bisection must still land on the frozen copy's value bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # (h/t)^r overflows
+    @pytest.mark.parametrize("m", [1, 2, 5, 40, 300])
+    def test_matches_frozen(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(40):
+            values = rng.normal(size=m) * 10.0 ** rng.uniform(-8, 8)
+            weights = rng.dirichlet(np.ones(m))
+            if m > 1:
+                weights[rng.integers(m)] = 0.0
+            for r in (2.0001, 2.5, 3, 4, 8, 17.3, 100, 1e4, math.inf):
+                assert orlicz_norm_finite(values, weights, r) == \
+                    frozen_orlicz_norm_finite(values, weights, r), (m, r)
+
+    def test_signed_weights_bisect_on_the_sum(self):
+        """With a negative weight the sum cancels (here ~1e9 against a
+        result of ~r), so the closed-form root is off by far more than the
+        band and every probe must sum."""
+        for values, weights in (([1.0, 2.0], [-0.1, 1.1]),
+                                ([1.0, 1.0 + 1e-9], [-1e9, 1e9 + 1.0])):
+            for r in (3, 4, 8):
+                assert orlicz_norm_finite(values, weights, r) == \
+                    frozen_orlicz_norm_finite(values, weights, r)
 
 
 def frozen_stack_pava(y):

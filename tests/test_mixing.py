@@ -282,13 +282,19 @@ class TestExactBetaMarkov:
         # partial block
         (20, [17, 3, 0, 40, 3, 2, 1, 8, 8, 64, 5, 0, 31, 6, 7, 12, 4, 2, 9, 11, 3, 0]),
         (20, []),
-    ], ids=["unsorted_repeats", "last_gap_zero", "partial_block", "empty"])
+        # 5 states: blocks of 163 powers, each gap's products stacked by bit
+        (5, list(range(200, -1, -1)) + [1023, 65535, 99_999, 3, 2**20 + 3]),
+    ], ids=["unsorted_repeats", "last_gap_zero", "partial_block", "empty",
+            "contiguous_and_large"])
     def test_grid_equals_scalar_calls(self, m, gaps):
         prof = random_chain(np.random.default_rng(m), m)
         betas = mixing.exact_beta_markov(prof.transition, prof.stationary, gaps)
         assert betas.shape == (len(gaps),)
         assert np.array_equal(betas, [matrix_power_beta(prof.transition, prof.stationary, q)
                                       for q in gaps])
+        unsigned = np.array(gaps, dtype=np.uint64)
+        assert np.array_equal(
+            mixing.exact_beta_markov(prof.transition, prof.stationary, unsigned), betas)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -420,6 +426,63 @@ class TestMixingProfile:
                                     values=(1.0, 0.5, 0.25))
         assert prof.coefficient(2) == 0.25
         assert prof.coefficient(3) == 0.0
+
+
+class TestStationaryVectorChecked:
+    """pi P = pi alone admits any multiple of pi, so a stationary vector
+    must also be a probability vector of the chain's size.  Each fault below
+    passes the pi P = pi check."""
+
+    P = np.array([[0.9, 0.1], [0.2, 0.8]])
+    PI = np.array([2.0, 1.0]) / 3.0
+    FAULTS = {
+        "scaled": (P, 2 * PI),
+        "sum_off_by_1e-9": (P, PI * (1 + 1e-9)),
+        "row_vector": (P, PI[None, :]),
+        "too_short": (np.eye(1), np.array([1.0, 0.0])),
+        "negative": (np.eye(2), np.array([1.5, -0.5])),
+        "nan": (P, np.array([np.nan, np.nan])),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_rejected(self, fault):
+        from mixrate.empirical import verify_variance_bound
+        P, pi = self.FAULTS[fault]
+        with pytest.raises(mixing.ConstructionError, match="probability vector"):
+            mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
+                                 transition=P, stationary=pi)
+        with pytest.raises(mixing.ConstructionError, match="probability vector"):
+            mixing.exact_beta_markov(P, pi, [0, 5])
+        with pytest.raises(mixing.ConstructionError, match="probability vector"):
+            verify_variance_bound(P, pi, np.zeros(len(P)), 5, 4)
+
+    def test_probability_vector_within_tolerance_accepted(self):
+        pi = self.PI * (1 + 1e-13)
+        prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
+                                    transition=self.P, stationary=pi)
+        assert mixing.exact_beta_markov(self.P, pi, 5) == prof.coefficient(5)
+        # entries may dip below 0 within the tolerance
+        assert abs(mixing.exact_beta_markov(np.eye(2), [1.0, -1e-13], 1)) < 1e-12
+
+    def test_rounded_stationary_vector_accepted(self):
+        """(2, 3, 2) / 7 rounded to 11 digits sums to 1 - 1e-11 and meets
+        pi P = pi within its 1e-10 tolerance; the sum gets the same one."""
+        from mixrate.empirical import verify_variance_bound
+        P = np.array([[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5]])
+        pi = np.array([0.28571428571, 0.42857142857, 0.28571428571])
+        assert abs(pi.sum() - 1.0) > mixing._STOCHASTIC_TOL
+        prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
+                                    transition=P, stationary=pi)
+        assert mixing.exact_beta_markov(P, pi, 4) == prof.coefficient(4)
+        assert verify_variance_bound(P, pi, np.array([1.0, 0.0, -1.0]), 5, 4).holds
+
+    def test_checked_once_per_call(self, monkeypatch):
+        calls = []
+        check = mixing._check_stationary
+        monkeypatch.setattr(mixing, "_check_stationary",
+                            lambda *a: calls.append(a) or check(*a))
+        mixing.exact_beta_markov(self.P, self.PI, np.arange(200))
+        assert len(calls) == 1
 
 
 def random_chain(rng, m):

@@ -77,6 +77,15 @@ class TestLambdaPhiBeta:
         assert lambda_phi_beta(profile, [], 4).shape == (0,)
         with pytest.raises(ValueError):
             lambda_phi_beta(profile, [2, -1], 4)
+        # an r grid adds a trailing axis: column j is the call at r_j
+        table = lambda_phi_beta(profile, gaps, [2.5, 4, 8.0])
+        assert table.shape == (len(gaps), 3)
+        for j, r in enumerate((2.5, 4, 8.0)):
+            assert table[:, j].tolist() == lambda_phi_beta(profile, gaps, r).tolist()
+        assert lambda_phi_beta(profile, 6, [4, 8.0]).tolist() == table[-1, 1:].tolist()
+        assert lambda_phi_beta(profile, [], [4, 8.0]).shape == (0, 2)
+        with pytest.raises(ValueError):
+            lambda_phi_beta(profile, [2], [4, 2])
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.2, 3.0), st.integers(0, 30), st.floats(2.5, 16.0))
