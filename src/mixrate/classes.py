@@ -95,23 +95,6 @@ class SumEntropy:
                 + entropy_eval(self.right, min(u / 2, self.right.sigma)))
 
 
-def entropy_calculus(model: EntropyModel, transform: str, **kw):
-    """Apply one bracketing-calculus rule and return the transformed bound.
-
-    transform is one of ``lipschitz_compose`` (kw: L), ``sum`` (kw: other),
-    ``scalar_multiply`` (kw: g_sup), ``positive_part``.
-    """
-    if transform == "lipschitz_compose":
-        return lipschitz_compose(model, kw["L"])
-    if transform == "sum":
-        return SumEntropy(model, kw["other"])
-    if transform == "scalar_multiply":
-        return scalar_multiply(model, kw["g_sup"])
-    if transform == "positive_part":
-        return positive_part(model)
-    raise ValueError(f"unknown transform {transform!r}")
-
-
 # ---------------------------------------------------------------------------
 # CDF oracles
 
@@ -237,118 +220,3 @@ def sup_lipschitz_w1(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:
     terms = np.where(b <= a, 0.0, np.maximum(left, 0.0) + np.maximum(right, 0.0))
     # a sequential sum, in segment order; a pairwise sum rounds differently
     return math.sqrt(n) * float(np.cumsum(terms)[-1])
-
-
-# ---------------------------------------------------------------------------
-# Bracket nets (diagnostic artifacts)
-
-
-@dataclass(frozen=True)
-class BracketNet:
-    """A bracketing net on a finite domain grid.
-
-    Widths are measured against the uniform measure on the grid (L2 for the
-    monotone class, sup norm for the Lipschitz class).  ``count`` is the
-    exact size of the constructed net; ``pairs`` is materialized only when
-    the net is small enough to list.  ``assign`` maps a class member
-    (given by its grid values) to its containing pair.
-    """
-
-    class_id: str
-    delta: float
-    grid: np.ndarray
-    level_step: float
-    count: int
-    pairs: list | None
-
-    @property
-    def log_count(self) -> float:
-        return math.log(self.count)
-
-    @property
-    def c_fitted(self) -> float:
-        """Constant c in the count bound count <= exp(c / delta)."""
-        return self.log_count * self.delta
-
-    def assign(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = self.level_step
-        lower = np.floor(np.asarray(values) / q) * q
-        upper = np.ceil(np.asarray(values) / q) * q
-        upper = np.where(upper - lower < q / 2, lower + q, upper)
-        if self.class_id == "monotone01":
-            lower = np.maximum.accumulate(lower)
-            upper = np.minimum.accumulate(upper[::-1])[::-1]
-        return np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0 + q)
-
-
-def _count_monotone_staircases(m: int, p: int) -> int:
-    # non-decreasing maps from m grid points into p+1 levels
-    return math.comb(m + p, p)
-
-
-_MATERIALIZE_LIMIT = 20_000
-
-
-def build_bracket_net(class_id: str, delta: float, grid_size: int) -> BracketNet:
-    """Construct a delta-bracketing net on a uniform grid.
-
-    For ``monotone01`` every bracket pair has L2(uniform-on-grid) width
-    <= delta; for ``lipschitz01`` sup-norm width <= delta.  The count obeys
-    count <= exp(c/delta) with ``c`` reported on the returned net.
-    """
-    if not (0 < delta <= 1):
-        raise ValueError("delta must lie in (0, 1]")
-    if grid_size < 2 / delta:
-        raise ValueError("delta too small for the grid: need grid_size >= 2/delta")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    if class_id == "monotone01":
-        if delta >= 1.0:
-            pairs = [(np.zeros(grid_size), np.ones(grid_size))]
-            return BracketNet(class_id, delta, grid, 1.0, 1, pairs)
-        q = delta / 2.0
-        p = math.ceil(1.0 / q)
-        count = _count_monotone_staircases(grid_size, p)
-    elif class_id == "lipschitz01":
-        q = delta / 2.0
-        p = math.ceil(1.0 / q)
-        h = 1.0 / (grid_size - 1)
-        steps = 2 * (math.ceil(h / q) + 1) + 1
-        count = (p + 1) * steps ** (grid_size - 1)
-    else:
-        raise ValueError(f"unknown class_id {class_id!r}")
-    net = BracketNet(class_id, delta, grid, q, count, None)
-    if count <= _MATERIALIZE_LIMIT:
-        pairs = _materialize(net, p)
-        net = BracketNet(class_id, delta, grid, q, count, pairs)
-    return net
-
-
-def _materialize(net: BracketNet, p: int) -> list:
-    # enumerate monotone staircases only for tiny nets
-    grid = net.grid
-    q = net.level_step
-    pairs = []
-    if net.class_id == "monotone01":
-        from itertools import combinations_with_replacement
-        for levels in combinations_with_replacement(range(p + 1), len(grid)):
-            lower = np.array(levels, dtype=float) * q
-            pairs.append((np.clip(lower, 0, 1), np.clip(lower + q, 0, 1 + q)))
-    else:
-        # Lipschitz nets are listed lazily through assign(); keep the
-        # envelope pair so the list is non-empty for audits.
-        pairs.append((np.zeros(len(grid)), np.ones(len(grid))))
-    return pairs
-
-
-def random_monotone01(rng: np.random.Generator, grid: np.ndarray) -> np.ndarray:
-    jumps = rng.dirichlet(np.ones(len(grid)))
-    scale = rng.random()
-    start = rng.random() * (1 - scale)
-    return start + scale * np.cumsum(jumps)
-
-
-def random_lipschitz01(rng: np.random.Generator, grid: np.ndarray) -> np.ndarray:
-    h = np.diff(grid)
-    slopes = rng.uniform(-1.0, 1.0, size=len(h))
-    vals = rng.random() + np.concatenate(([0.0], np.cumsum(slopes * h)))
-    return np.clip(vals, 0.0, 1.0)

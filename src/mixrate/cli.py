@@ -184,6 +184,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not standard JSON; write \"inf\" for an infinite r")
+
+
 def _r_value(x):
     return math.inf if x == "inf" else float(x)
 
@@ -371,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     schema_key = args.command.replace("-", "_")
     try:
         cfg = {} if args.config is None else json.loads(
-            Path(args.config).read_text())
+            Path(args.config).read_text(), parse_constant=_reject_constant)
         # the schemas are constants: the tests check them against the
         # metaschema, a check that would cost every run milliseconds
         jsonschema.Draft202012Validator(SCHEMAS[schema_key]).validate(cfg)

@@ -144,7 +144,7 @@ _ORLICZ_REL_TOL = 1e-10
 def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> float:
     """Gauge norm inf{t > 0 : E (h/t)^r <= 1} on a finite distribution,
     located by bisection on t (equals the L_r norm for the power family)."""
-    if r <= 2:
+    if not r > 2:
         raise ValueError("r must exceed 2")
     values = np.abs(np.asarray(values, dtype=float))
     weights = np.asarray(weights, dtype=float)
@@ -198,7 +198,7 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
     """
     qs = np.atleast_1d(q).tolist()
     rs = np.atleast_1d(r).tolist()
-    if min(qs, default=1) < 1 or min(rs, default=3) <= 2:
+    if min(qs, default=1) < 1 or not all(ri > 2 for ri in rs):
         raise ValueError("q must be >= 1 and r must exceed 2")
     profile = mixing.MixingProfile(
         kind=mixing.ProfileKind.EXACT_MARKOV, flavor=mixing.MixingFlavor.BETA,

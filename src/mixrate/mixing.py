@@ -19,7 +19,6 @@ import numpy as np
 
 class MixingFlavor(str, Enum):
     BETA = "beta"
-    RHO = "rho"
     GAMMA = "gamma"
 
 
@@ -48,10 +47,10 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     transition = np.asarray(transition, dtype=float)
     if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
         raise ConstructionError("transition matrix must be square")
-    if (transition < -_STOCHASTIC_TOL).any():
-        raise ConstructionError("transition matrix has negative entries")
+    if not (transition >= -_STOCHASTIC_TOL).all():
+        raise ConstructionError("transition matrix has negative or NaN entries")
     rows = transition.sum(axis=1)
-    if (np.abs(rows - 1.0) > _STOCHASTIC_TOL).any():
+    if not (np.abs(rows - 1.0) <= _STOCHASTIC_TOL).all():
         raise ConstructionError("rows of transition matrix must sum to 1")
     return transition
 

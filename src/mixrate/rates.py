@@ -48,7 +48,7 @@ def _require_beta(profile: MixingProfile) -> None:
 
 def c_phi(r: float) -> float:
     """sqrt(1 + sup_{x>=0}(x - x**(r/2))), maximized at x = (2/r)**(2/(r-2))."""
-    if r <= 2:
+    if not r > 2:
         raise ValueError("power index r must exceed 2 (linear phi excluded)")
     if math.isinf(r):
         return math.sqrt(2.0)
@@ -68,7 +68,7 @@ def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
     """
     gaps = np.atleast_1d(q).tolist()
     rs = np.atleast_1d(r).tolist()
-    if min(rs, default=3) <= 2:
+    if not all(ri > 2 for ri in rs):
         raise ValueError("r must exceed 2")
     if min(gaps, default=0) < 0:
         raise ValueError("q must be >= 0")
@@ -197,7 +197,7 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     (``_first_crossings``) reads every node's tau and Lambda off one beta array."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if r <= 2:
+    if not r > 2:
         raise ValueError("r must exceed 2")
     _require_beta(profile)
     sigma, b = entropy.sigma, entropy.b

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixrate import classes
-from mixrate.classes import (EntropyModel, build_bracket_net, discrete_cdf,
-                             entropy_calculus, entropy_eval, gaussian_cdf,
-                             random_lipschitz01, random_monotone01,
-                             sup_halflines, sup_lipschitz_w1, sup_monotone01,
-                             uniform01_cdf)
+from mixrate.classes import (EntropyModel, SumEntropy, discrete_cdf,
+                             entropy_eval, gaussian_cdf, lipschitz_compose,
+                             positive_part, scalar_multiply, sup_halflines,
+                             sup_lipschitz_w1, sup_monotone01, uniform01_cdf)
 
 
 class TestEntropyEval:
@@ -47,18 +46,18 @@ class TestEntropyEval:
 class TestEntropyCalculus:
     def test_lipschitz_identity(self):
         m = EntropyModel(alpha=1.0, V=1.0, B=10.0)
-        out = entropy_calculus(m, "lipschitz_compose", L=1.0)
+        out = lipschitz_compose(m, 1.0)
         assert out == m
 
     def test_lipschitz_rescale(self):
         m = EntropyModel(alpha=2.0, V=0.0, sigma=0.5, b=1.0)
-        out = entropy_calculus(m, "lipschitz_compose", L=3.0)
+        out = lipschitz_compose(m, 3.0)
         # new bound at u equals the old bound at u/3
         assert entropy_eval(out, 0.3) == pytest.approx(entropy_eval(m, 0.1))
 
     def test_sum_with_self(self):
         m = EntropyModel(K=1.5, D=2.0, theta=1.0, alpha=1.2, V=0.0)
-        s = entropy_calculus(m, "sum", other=m)
+        s = SumEntropy(m, m)
         delta = 0.4
         expected = 2 * 1.5 * 2.0 * (2 * 1.0 / delta) ** 1.2
         assert s(delta) == pytest.approx(expected)
@@ -66,26 +65,24 @@ class TestEntropyCalculus:
     def test_sum_commutative_on_grid(self):
         a = EntropyModel(alpha=1.0, V=0.0)
         b = EntropyModel(alpha=0.5, V=1.0, B=10.0)
-        ab = entropy_calculus(a, "sum", other=b)
-        ba = entropy_calculus(b, "sum", other=a)
+        ab = SumEntropy(a, b)
+        ba = SumEntropy(b, a)
         for d in np.geomspace(0.01, 1.0, 20):
             assert ab(d) == pytest.approx(ba(d))
 
     def test_positive_part_unchanged(self):
         m = EntropyModel(alpha=1.0)
-        assert entropy_calculus(m, "positive_part") == m
+        assert positive_part(m) == m
 
     def test_scalar_multiply(self):
         m = EntropyModel(alpha=1.0, V=0.0, sigma=1.0, b=1.0)
-        out = entropy_calculus(m, "scalar_multiply", g_sup=2.0)
+        out = scalar_multiply(m, 2.0)
         assert entropy_eval(out, 0.5) == pytest.approx(entropy_eval(m, 0.25))
 
     def test_invalid_parameters(self):
         m = EntropyModel(alpha=1.0)
         with pytest.raises(ValueError):
-            entropy_calculus(m, "lipschitz_compose", L=0.0)
-        with pytest.raises(ValueError):
-            entropy_calculus(m, "no_such_rule")
+            lipschitz_compose(m, 0.0)
 
 
 class TestSupHalflines:
@@ -250,56 +247,3 @@ class TestArrayOracles:
         g = gaussian_cdf()
         assert np.array_equal(g.quantile(u[1:-1]), [g.quantile(v) for v in u[1:-1]])
         assert np.array_equal(g.cdf_antideriv(x), [g.cdf_antideriv(v) for v in x])
-
-    def test_random_lipschitz01_single_cumsum(self):
-        grid = np.linspace(0.0, 1.0, 17)
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            h = np.diff(grid)
-            slopes = rng.uniform(-1.0, 1.0, size=len(h))
-            vals = np.concatenate(([rng.random()], np.cumsum(slopes * h)))
-            vals = vals[0] + np.concatenate(([0.0], np.cumsum(slopes * h)))
-            ref = np.clip(vals, 0.0, 1.0)
-            assert np.array_equal(random_lipschitz01(np.random.default_rng(seed), grid), ref)
-
-
-class TestBracketNets:
-    def test_delta_one_single_envelope(self):
-        net = build_bracket_net("monotone01", 1.0, 8)
-        assert net.count == 1
-        lo, hi = net.pairs[0]
-        assert np.all(lo == 0.0) and np.all(hi >= 1.0)
-
-    def test_monotone_count_constant(self):
-        net = build_bracket_net("monotone01", 0.25, 8)
-        assert net.log_count <= 12.0 / 0.25
-        assert net.c_fitted <= 12.0
-
-    def test_monotone_containment_and_width(self):
-        net = build_bracket_net("monotone01", 0.25, 8)
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            f = np.clip(random_monotone01(rng, net.grid), 0.0, 1.0)
-            lo, hi = net.assign(f)
-            assert np.all(lo <= f + 1e-12) and np.all(f <= hi + 1e-12)
-            assert math.sqrt(np.mean((hi - lo) ** 2)) <= 0.25 + 1e-12
-            assert np.all(np.diff(lo) >= -1e-12)  # brackets stay monotone
-
-    def test_lipschitz_containment(self):
-        net = build_bracket_net("lipschitz01", 0.5, 8)
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            f = random_lipschitz01(rng, net.grid)
-            lo, hi = net.assign(f)
-            assert np.all(lo <= f + 1e-12) and np.all(f <= hi + 1e-12)
-            assert np.max(hi - lo) <= 0.5 + 1e-12
-
-    def test_grid_too_coarse_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            build_bracket_net("monotone01", 0.1, 8)
-        with pytest.raises(ValueError):
-            build_bracket_net("monotone01", 0.0, 8)
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            build_bracket_net("convex", 0.5, 8)

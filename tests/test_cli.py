@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -195,11 +196,28 @@ class TestSemanticConfigFaults:
                       "base_seed": 0, "k_override": 20}),
         ("mixing-est", {"dgp": {"generator": "iid_uniform"},
                         "n": 1000, "q_grid": [], "m_bins": 2, "seed": 3}),
+        # json.dumps writes nan and inf as the non-standard literals NaN and
+        # Infinity, which json.loads would otherwise accept
+        ("rates", {"cells": [{"alpha": 1.0, "beta": math.nan}]}),
+        ("rates", {"cells": [{"alpha": 1.0, "beta": math.inf}]}),
+        ("rates", {"cells": [{"alpha": 1.0, "beta": 3.0, "r": math.inf}]}),
+        ("phase", {"beta_grid": [math.nan, 0.5], "alpha_grid": [1.0, 2.0]}),
+        ("simulate", {"dgp": {"generator": "renewal",
+                              "params": {"tail_exponent": math.nan, "l_max": 1000}},
+                      "statistic": "ks", "n_grid": [64, 128, 256, 512],
+                      "replications": 30, "base_seed": 0}),
+        ("mixing-est", {"dgp": {"generator": "markov",
+                                "params": {"transition": [[math.nan, math.nan], [0.5, 0.5]],
+                                           "state_values": [0.2, 0.8]}},
+                        "n": 5000, "q_grid": [1, 5], "m_bins": 2, "seed": 3}),
     ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
             "too_few_observations_for_bins", "gap_not_below_half_n",
             "beta_at_regime_boundary", "r_not_a_number", "r_not_above_2",
             "negative_alpha", "zero_in_beta_grid", "empty_beta_grid",
-            "simulate_repeated_n", "ot_bench_repeated_n", "empty_q_grid"])
+            "simulate_repeated_n", "ot_bench_repeated_n", "empty_q_grid",
+            "rates_nan_beta", "rates_infinite_beta", "rates_infinity_literal_r",
+            "phase_nan_beta", "simulate_nan_tail_exponent",
+            "mixing_est_nan_transition"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
         cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
         out = tmp_path / "o"

@@ -225,7 +225,8 @@ class TestVarianceBound:
     def test_r_floor(self):
         h = np.array([1.0, 0.0])
         for q, r in [(5, 2), (5, 1.5), (0, 4), (-1, 4), ([3, 0, 5], 4),
-                     (5, [3, 2]), ([1, 2], [4, 2.0])]:
+                     (5, [3, 2]), ([1, 2], [4, 2.0]), (5, math.nan),
+                     ([1, 2], [4, math.nan])]:
             with pytest.raises(ValueError):
                 verify_variance_bound(self.P, self.PI, h, q, r)
             # rejected at the boundary, before the transition is ever used
@@ -358,6 +359,12 @@ class TestOrliczNormBisection:
             for r in (3, 4, 8):
                 assert orlicz_norm_finite(values, weights, r) == \
                     frozen_orlicz_norm_finite(values, weights, r)
+
+    def test_r_checked_at_entry(self):
+        # with r = NaN every probe is False, so the bracket search never ends
+        for r in (2.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="r must exceed 2"):
+                orlicz_norm_finite([1.0, 2.0], [0.5, 0.5], r)
 
 
 def frozen_stack_pava(y):

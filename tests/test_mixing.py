@@ -427,6 +427,14 @@ class TestMixingProfile:
         assert prof.coefficient(2) == 0.25
         assert prof.coefficient(3) == 0.0
 
+    @pytest.mark.parametrize("transition", [[[np.nan, np.nan], [0.5, 0.5]],
+                                            [[np.nan, 1.0], [0.5, 0.5]]])
+    def test_nan_transition_rejected(self, transition):
+        # NaN compares False both ways, so each check must fail on it
+        with pytest.raises(mixing.ConstructionError, match="NaN"):
+            mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
+                                 transition=transition, stationary=[0.5, 0.5])
+
 
 class TestStationaryVectorChecked:
     """pi P = pi alone admits any multiple of pi, so a stationary vector

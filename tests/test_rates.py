@@ -41,6 +41,8 @@ class TestCPhi:
             c_phi(2)
         with pytest.raises(ValueError):
             c_phi(1.5)
+        with pytest.raises(ValueError):
+            c_phi(math.nan)
 
 
 P3 = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
@@ -86,6 +88,9 @@ class TestLambdaPhiBeta:
         assert lambda_phi_beta(profile, [], [4, 8.0]).shape == (0, 2)
         with pytest.raises(ValueError):
             lambda_phi_beta(profile, [2], [4, 2])
+        for r in (math.nan, [4, math.nan]):
+            with pytest.raises(ValueError):
+                lambda_phi_beta(profile, 3, r)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.2, 3.0), st.integers(0, 30), st.floats(2.5, 16.0))
@@ -281,7 +286,7 @@ class TestFiniteClassBound:
     def test_inputs_checked_at_entry(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             finite_class_bound(1.0, 1.0, 4, 0, IID, 4.0)
-        for r in (2.0, 1.5):
+        for r in (2.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="r must exceed 2"):
                 finite_class_bound(1.0, 1.0, 4, 100, IID, r)
 
@@ -442,6 +447,11 @@ class TestMainBound:
         for n in (0, -5):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 main_bound(self.ENT, IID, n, 4.0)
+
+    def test_r_checked_at_entry(self):
+        for r in (2.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="r must exceed 2"):
+                main_bound(self.ENT, IID, 64, r)
 
     def test_budget_within_admissible_range(self):
         rb = main_bound(self.ENT, poly(1.0), 4096, 4.0)
