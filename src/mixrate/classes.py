@@ -38,13 +38,14 @@ class EntropyModel:
     b: float = 1.0
 
     def __post_init__(self):
-        if self.K <= 0 or self.D < 1 or self.theta <= 0:
+        # negated comparisons, so that NaN fails every check
+        if not (self.K > 0 and self.D >= 1 and self.theta > 0):
             raise ValueError("need K > 0, D >= 1, theta > 0")
-        if self.alpha < 0 or self.V < 0:
+        if not (self.alpha >= 0 and self.V >= 0):
             raise ValueError("need alpha, V >= 0")
-        if self.sigma <= 0 or self.sigma > self.b:
+        if not 0 < self.sigma <= self.b:
             raise ValueError("need 0 < sigma <= b")
-        if self.B < max(self.sigma, self.b, math.e) - 1e-12:
+        if not self.B >= max(self.sigma, self.b, math.e) - 1e-12:
             raise ValueError("need B >= max(sigma, b, e)")
         if not (self.r > 2 or 1 <= self.r <= 2):
             raise ValueError("norm index r must be in (2, inf] or [1, 2]")

@@ -101,7 +101,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "dgp": _DGP_SCHEMA,
-            "statistic": {"enum": ["ks", "monotone", "w1"]},
+            "statistic": {"enum": list(empirical._STATISTICS)},
             "n_grid": {"type": "array", "minItems": 4, "uniqueItems": True,
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 30},
@@ -216,15 +216,12 @@ def _cmd_phase(cfg: dict, outdir: Path) -> None:
                  svg.emit_phase_svg(diagram, title="rate regimes"))
 
 
-def _theory_exponent(dgp: dict) -> float:
-    if dgp["generator"] == "renewal":
-        beta = dgp["params"]["tail_exponent"]
-        if beta < 1:
-            return (1.0 - beta) / (2.0 * (1.0 + beta))
-    return 0.0
-
-
 def _cmd_simulate(cfg: dict, outdir: Path) -> None:
+    dgp, theory = cfg["dgp"], 0.0
+    if dgp["generator"] == "renewal":
+        theory = float(rates.rate_exponent(
+            empirical._ENTROPY_EXPONENTS[cfg["statistic"]],
+            dgp["params"]["tail_exponent"]).exponent)
     oracle = uniform01_cdf()
     pairs, ses, rows = [], [], []
     for n in cfg["n_grid"]:
@@ -235,7 +232,6 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> None:
         ses.append(se)
         rows.append([n, mean, se])
     fit = empirical.slope_fit(pairs, ses)
-    theory = _theory_exponent(cfg["dgp"])
     tol = cfg.get("tolerance", 0.06)
     summary = {"slope": fit.slope, "slope_se": fit.slope_se,
                "r_squared": fit.r_squared, "theory_exponent": theory,
@@ -341,15 +337,21 @@ def _cmd_verify(cfg: dict, outdir: Path) -> None:
         raise FloatingPointError(f"{failed} invariant checks failed")
 
 
+# the marginal law of each generator whose marginal is not Uniform[0, 1]
+_NON_UNIFORM_MARGINALS = {"ar1": "Gaussian N(0, 1/(1 - a^2))",
+                          "markov": "discrete (on state_values)"}
+
+
 def _check_semantics(command: str, cfg: dict) -> None:
     """Config faults the schemas cannot express; raises ValueError."""
     dgp = cfg.get("dgp", {})
-    if dgp.get("generator") == "markov":
-        transition = mixing._check_stochastic(dgp["params"]["transition"])
-        state_values = np.asarray(dgp["params"]["state_values"], dtype=float)
-        if state_values.shape != transition.shape[:1]:
-            raise mixing.ConstructionError(
-                "state_values length must match transition size")
+    generator = dgp.get("generator")
+    if command == "simulate" and generator in _NON_UNIFORM_MARGINALS:
+        raise ValueError(f"simulate centres at the Uniform[0, 1] CDF; generator {generator!r}"
+                         f" has a {_NON_UNIFORM_MARGINALS[generator]} marginal")
+    if generator == "markov":
+        mixing._check_markov_config(dgp["params"]["transition"],
+                                    dgp["params"]["state_values"])
     if command == "mixing-est":
         mixing._check_binning(cfg["n"], np.asarray(cfg["q_grid"]), cfg["m_bins"])
     if command == "ot-bench" and not ("eps_override" in cfg and "k_override" in cfg):

@@ -16,6 +16,9 @@ from .rates import _geometric_bisect, c_phi, lambda_phi_beta
 
 _STATISTICS = {"ks": sup_halflines, "monotone": sup_monotone01,
                "w1": sup_lipschitz_w1}
+# bracketing-entropy exponent alpha of each statistic's class: half-lines
+# are VC (alpha 0); monotone and 1-Lipschitz functions on [0, 1] have alpha 1
+_ENTROPY_EXPONENTS = {"ks": 0, "monotone": 1, "w1": 1}
 
 
 def generate(dgp_cfg: dict, n: int, seed: int) -> mixing.SequenceSample:
@@ -30,9 +33,8 @@ def generate(dgp_cfg: dict, n: int, seed: int) -> mixing.SequenceSample:
     if gen == "ar1":
         return mixing.gen_ar1(params["a"], n, seed)
     if gen == "markov":
-        return mixing.gen_finite_markov(np.asarray(params["transition"]),
-                                        np.asarray(params["state_values"]),
-                                        n, seed)
+        return mixing.gen_finite_markov(params["transition"],
+                                        params["state_values"], n, seed)
     raise ValueError(f"unknown generator {gen!r}")
 
 
@@ -108,8 +110,6 @@ class SlopeFit:
     def __post_init__(self):
         if len(self.n_grid) < 4 or np.any(np.diff(self.n_grid) <= 0):
             raise ValueError("need >= 4 strictly increasing n values")
-        if np.any(self.estimates <= 0):
-            raise ValueError("estimates must be positive")
 
 
 def slope_fit(pairs, standard_errors=None) -> SlopeFit:
@@ -196,10 +196,10 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
     Orlicz norm per r are computed once per call; each case then does a
     single call's arithmetic.
     """
-    qs = np.atleast_1d(q).tolist()
+    qs = mixing._gap_list(q, 1)
     rs = np.atleast_1d(r).tolist()
-    if min(qs, default=1) < 1 or not all(ri > 2 for ri in rs):
-        raise ValueError("q must be >= 1 and r must exceed 2")
+    if not all(ri > 2 for ri in rs):
+        raise ValueError("r must exceed 2")
     profile = mixing.MixingProfile(
         kind=mixing.ProfileKind.EXACT_MARKOV, flavor=mixing.MixingFlavor.BETA,
         transition=transition, stationary=stationary)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -53,6 +53,14 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
     if not (np.abs(rows - 1.0) <= _STOCHASTIC_TOL).all():
         raise ConstructionError("rows of transition matrix must sum to 1")
     return transition
+
+
+def _gap_list(q, least: int) -> list[int]:
+    """Gaps q (an int or a 1-D grid) as Python ints; ValueError unless each is >= least."""
+    gaps = np.atleast_1d(q).tolist()
+    if not all(isinstance(g, int) and g >= least for g in gaps):
+        raise ValueError(f"gap q must be an integer >= {least}")
+    return gaps
 
 
 def _check_stationary(stationary, m: int) -> np.ndarray:
@@ -172,12 +180,9 @@ class MixingProfile:
 
 @dataclass(frozen=True)
 class SequenceSample:
-    """Realized stationary sequence plus the provenance needed to rebuild it."""
+    """Realized stationary sequence and, where known, its mixing profile."""
 
     values: np.ndarray
-    generator_id: str
-    params: dict
-    seed: int
     mixing_oracle: Optional[MixingProfile] = None
 
     def __len__(self) -> int:
@@ -220,14 +225,20 @@ def _markov_steps(row_cdf: np.ndarray, state: int, u: np.ndarray) -> np.ndarray:
     return g[:, state]
 
 
-def gen_finite_markov(transition, state_values, n: int, seed: int) -> SequenceSample:
-    """Stationary finite-state Markov trajectory mapped through state values."""
+def _check_markov_config(transition, state_values) -> tuple[np.ndarray, np.ndarray]:
+    """A row-stochastic matrix and one value per state, as float arrays."""
     transition = _check_stochastic(transition)
     state_values = np.asarray(state_values, dtype=float)
+    if state_values.shape != transition.shape[:1]:
+        raise ConstructionError("state_values must hold one number per state")
+    return transition, state_values
+
+
+def gen_finite_markov(transition, state_values, n: int, seed: int) -> SequenceSample:
+    """Stationary finite-state Markov trajectory mapped through state values."""
+    transition, state_values = _check_markov_config(transition, state_values)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(state_values) != transition.shape[0]:
-        raise ConstructionError("state_values length must match transition size")
     pi = stationary_distribution(transition)
     rng = np.random.default_rng(seed)
     # inverse-CDF sampling against precomputed row CDFs
@@ -242,10 +253,7 @@ def gen_finite_markov(transition, state_values, n: int, seed: int) -> SequenceSa
         state = path[-1]
     oracle = MixingProfile(kind=ProfileKind.EXACT_MARKOV, flavor=MixingFlavor.BETA,
                            transition=transition, stationary=pi)
-    return SequenceSample(values=values, generator_id="finite_markov",
-                          params={"transition": transition.tolist(),
-                                  "state_values": state_values.tolist(), "n": n},
-                          seed=seed, mixing_oracle=oracle)
+    return SequenceSample(values=values, mixing_oracle=oracle)
 
 
 def _block_length_pmf(tail_exponent: float, l_max: int) -> np.ndarray:
@@ -311,9 +319,7 @@ def gen_renewal_chain(tail_exponent: float, l_max: int, n: int, seed: int) -> Se
     series = np.repeat(vals, lengths)[:n]
     oracle = MixingProfile(kind=ProfileKind.POLYNOMIAL, flavor=MixingFlavor.BETA,
                            scale=1.0, exponent=tail_exponent)
-    return SequenceSample(values=series, generator_id="renewal_chain",
-                          params={"tail_exponent": tail_exponent, "l_max": l_max, "n": n},
-                          seed=seed, mixing_oracle=oracle)
+    return SequenceSample(values=series, mixing_oracle=oracle)
 
 
 def renewal_age_value_chain(tail_exponent: float, l_max: int, n_values: int):
@@ -351,15 +357,13 @@ def gen_ar1(a: float, n: int, seed: int) -> SequenceSample:
     else:
         oracle = MixingProfile(kind=ProfileKind.EXPONENTIAL, flavor=MixingFlavor.GAMMA,
                                scale=1.0, rate=-math.log(abs(a)))
-    return SequenceSample(values=x, generator_id="ar1",
-                          params={"a": a, "n": n}, seed=seed, mixing_oracle=oracle)
+    return SequenceSample(values=x, mixing_oracle=oracle)
 
 
 def gen_iid_uniform(n: int, seed: int) -> SequenceSample:
     """I.i.d. Uniform[0,1] baseline DGP."""
     rng = np.random.default_rng(seed)
-    return SequenceSample(values=rng.random(n), generator_id="iid_uniform",
-                          params={"n": n}, seed=seed, mixing_oracle=MixingProfile.iid())
+    return SequenceSample(values=rng.random(n), mixing_oracle=MixingProfile.iid())
 
 
 def exact_beta_markov(transition, stationary,
@@ -378,17 +382,14 @@ def exact_beta_markov(transition, stationary,
     a probability vector (:class:`ConstructionError` otherwise).
     """
     # Python ints keep a scalar call close to the cost of its matrix products
-    grid = np.atleast_1d(q)
-    gaps = grid.tolist()
-    if min(gaps, default=0) < 0:
-        raise ValueError("gap q must be >= 0")
+    gaps = _gap_list(q, 0)
     transition = _check_stochastic(transition)
     pi = _check_stationary(stationary, len(transition))
     squares = [transition]
     for _ in range(1, max(gaps, default=0).bit_length()):
         squares.append(squares[-1] @ squares[-1])
     out = np.ones(len(gaps))
-    nonzero = np.flatnonzero(grid)
+    nonzero = np.flatnonzero(gaps)
     block = max(1, 4096 // transition.size)
     for start in range(0, len(nonzero), block):
         idx = nonzero[start:start + block]

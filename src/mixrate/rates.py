@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mixing import MixingFlavor, MixingProfile
+from .mixing import MixingFlavor, MixingProfile, _gap_list
 from .classes import EntropyModel, entropy_eval
 
 
@@ -66,12 +66,10 @@ def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
     One ``profile.coefficients`` call up to the largest gap serves every
     case, so an exact Markov profile costs O(q log q) small matrix products.
     """
-    gaps = np.atleast_1d(q).tolist()
     rs = np.atleast_1d(r).tolist()
     if not all(ri > 2 for ri in rs):
         raise ValueError("r must exceed 2")
-    if min(gaps, default=0) < 0:
-        raise ValueError("q must be >= 0")
+    gaps = _gap_list(q, 0)
     _require_beta(profile)
     coeffs = profile.coefficients(max(gaps, default=0))
     out = np.array([_lambdas(coeffs, gaps, rj) for rj in rs]).T
@@ -270,7 +268,6 @@ class Regime(str, Enum):
 class RegimeReport:
     regime: Regime
     exponent: Fraction | None
-    source: str
 
     def __post_init__(self):
         if self.exponent is not None and not (0 <= self.exponent < Fraction(1, 2)):
@@ -279,6 +276,15 @@ class RegimeReport:
 
 def _near(x, y, tol=1e-12):
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+
+
+def _regime_table(beta, r):
+    """(beta_star, boundary-curve alpha, dependence-dominated exponent) at decay
+    beta, in beta's number type; r > 2 is of that type or the float inf."""
+    if math.isinf(r):
+        return 1, (1 + beta) / beta, (1 - beta) / (2 * (1 + beta))
+    return (r / (r - 2), r * (1 + beta) / (beta * (r - 1)),
+            (1 - beta * (1 - 2 / r)) / (2 * (1 + beta)))
 
 
 def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf) -> RegimeReport:
@@ -298,32 +304,19 @@ def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf) -> RegimeReport:
     if not (r > 2):
         raise ValueError("norm index must exceed 2 (or be inf)")
     alpha_frac = Fraction(alpha).limit_denominator(10**6)
-    beta_frac = Fraction(dep_exponent).limit_denominator(10**6)
-    if math.isinf(r):
-        beta_star = Fraction(1)
-        curve = (1 + beta_frac) / beta_frac
-        dep_exp = (1 - beta_frac) / (2 * (1 + beta_frac))
-        source = "sup-norm-bracket table"
-    else:
-        r_frac = Fraction(r).limit_denominator(10**6)
-        beta_star = r_frac / (r_frac - 2)
-        curve = r_frac * (1 + beta_frac) / (beta_frac * (r_frac - 1))
-        dep_exp = (1 - beta_frac * (1 - 2 / r_frac)) / (2 * (1 + beta_frac))
-        source = "finite-r-bracket table"
+    # a beta below 5e-7 would round to the excluded 0: it is kept exact
+    beta_frac = Fraction(dep_exponent).limit_denominator(10**6) or Fraction(dep_exponent)
+    r_frac = r if math.isinf(r) else Fraction(r).limit_denominator(10**6)
+    beta_star, curve, dep_exp = _regime_table(beta_frac, r_frac)
+    below = Regime.DEPENDENCE_DOMINATED
     if beta_frac >= beta_star:
         # the curve meets alpha = 2 at beta_star; off-curve values classify too
-        if alpha_frac == 2:
-            return RegimeReport(Regime.BOUNDARY, None, source)
-        if alpha_frac < 2:
-            return RegimeReport(Regime.DONSKER_BOUNDED, Fraction(0), source)
-        return RegimeReport(Regime.IID_LIKE,
-                            Fraction(1, 2) - 1 / alpha_frac, source)
+        curve, dep_exp, below = 2, Fraction(0), Regime.DONSKER_BOUNDED
     if alpha_frac == curve:
-        return RegimeReport(Regime.BOUNDARY, None, source)
+        return RegimeReport(Regime.BOUNDARY, None)
     if alpha_frac > curve:
-        return RegimeReport(Regime.IID_LIKE,
-                            Fraction(1, 2) - 1 / alpha_frac, source)
-    return RegimeReport(Regime.DEPENDENCE_DOMINATED, dep_exp, source)
+        return RegimeReport(Regime.IID_LIKE, Fraction(1, 2) - 1 / alpha_frac)
+    return RegimeReport(below, dep_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +334,14 @@ def pi_n(entropy: EntropyModel, gamma: float, sigma: float, n: int,
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    D, theta, B, alpha, V = entropy.D, entropy.theta, entropy.B, entropy.alpha, entropy.V
+    theta, alpha, V = entropy.theta, entropy.alpha, entropy.V
+    D = entropy.K * entropy.D  # the entropy constant, as entropy_eval reads it
     r_t = min(entropy.r, 2.0)
-    base = D * (theta / sigma) ** alpha * math.log(B / sigma) ** V
+    log_s = math.log(entropy.B / sigma)
+    base = D * (theta / sigma) ** alpha * log_s ** V
     if enforce_scale and base > n:
         raise ScaleError("entropy mass at the radius exceeds n")
     g1 = gamma / (gamma + 1.0)
-    log_s = math.log(B / sigma)
     term_vc = (sigma ** (r_t / 2.0)
                * (D * (theta / sigma) ** alpha) ** (gamma / (2 * (gamma + 1)))
                * n ** (1.0 / (2 * (gamma + 1)))
@@ -425,13 +419,8 @@ class PhaseDiagram:
 
 def boundary_curve(beta: float, r_or_inf=math.inf) -> float:
     """Complexity exponent on the phase boundary at dependence exponent beta."""
-    if math.isinf(r_or_inf):
-        return (1.0 + beta) / beta if beta <= 1.0 else 2.0
-    r = r_or_inf
-    beta_star = r / (r - 2.0)
-    if beta <= beta_star:
-        return r * (1.0 + beta) / (beta * (r - 1.0))
-    return 2.0
+    beta_star, curve, _ = _regime_table(beta, r_or_inf)
+    return curve if beta <= beta_star else 2.0
 
 
 def phase_diagram(beta_grid, alpha_grid, r_or_inf=math.inf) -> PhaseDiagram:
@@ -450,15 +439,12 @@ def phase_diagram(beta_grid, alpha_grid, r_or_inf=math.inf) -> PhaseDiagram:
 # Application exponent calculator
 
 
-@dataclass(frozen=True)
-class ApplicationExponent:
-    app: str
-    exponent: float
-    params: dict
-    notes: str = ""
+def _inflation(gamma: float) -> float:
+    """The dependence inflation (1 + gamma)/gamma of a rate, 1 at gamma = inf."""
+    return 1.0 if math.isinf(gamma) else (1.0 + gamma) / gamma
 
 
-def application_exponents(app: str, **p) -> ApplicationExponent:
+def application_exponents(app: str, **p) -> float:
     """Convergence-rate exponents (of n^{-exponent} for the squared risk,
     or as noted) for the worked estimation problems.
 
@@ -470,17 +456,15 @@ def application_exponents(app: str, **p) -> ApplicationExponent:
         s, d, gamma = p["s"], p["d"], p["gamma"]
         if s <= 0 or d < 1 or gamma <= 0:
             raise ValueError("need s > 0, d >= 1, gamma > 0")
-        infl = 1.0 if math.isinf(gamma) else (1.0 + gamma) / gamma
-        return ApplicationExponent(app, s / (d + 2 * s * infl), dict(p))
+        return s / (d + 2 * s * _inflation(gamma))
     if app == "additive":
         s, gamma, a = p["s"], p["gamma"], p["d_as"]
         if not (0 <= a < 1) or s <= 0 or gamma <= 0:
             raise ValueError("need 0 <= d_as < 1, s > 0, gamma > 0")
-        infl = 1.0 if math.isinf(gamma) else (1.0 + gamma) / gamma
         num = 2 * s * (1 - a) - a
         if num <= 0:
             raise ValueError("dimension growth too fast for consistency")
-        return ApplicationExponent(app, num / (2 * s * infl + 1), dict(p))
+        return num / (2 * s * _inflation(gamma) + 1)
     if app == "convex_worst":
         d, beta = p["d"], p["beta"]
         if d <= 4:
@@ -489,7 +473,7 @@ def application_exponents(app: str, **p) -> ApplicationExponent:
             raise BoundaryParameterError("beta at an excluded boundary")
         if beta < 2.0 / (d - 2):
             raise ValueError("needs beta > 2/(d-2)")
-        return ApplicationExponent(app, 2.0 / d, dict(p))
+        return 2.0 / d
     if app == "convex_adapt":
         d, gamma = p["d"], p["gamma"]
         if d <= 8:
@@ -498,21 +482,20 @@ def application_exponents(app: str, **p) -> ApplicationExponent:
             raise BoundaryParameterError("gamma at an excluded boundary")
         if gamma < 4.0 / (d - 4):
             raise ValueError("needs gamma > 4/(d-4)")
-        return ApplicationExponent(app, 4.0 / d, dict(p))
+        return 4.0 / d
     if app == "ot":
         beta, d = p["beta"], p["d"]
         if d < 4 or beta <= 0:
             raise ValueError("need d >= 4 and beta > 0")
         if _near(beta, 2.0 / (d - 2)):
             raise BoundaryParameterError("beta at the regime boundary")
-        expn = 2.0 / d if beta > 2.0 / (d - 2) else beta / (beta + 1.0)
-        return ApplicationExponent(app, expn, dict(p))
+        return 2.0 / d if beta > 2.0 / (d - 2) else beta / (beta + 1.0)
     if app == "classification":
         alpha, gamma = p["alpha"], p["gamma"]
         if alpha < 0 or gamma <= 0:
             raise ValueError("need alpha >= 0, gamma > 0")
         inv_g = 0.0 if math.isinf(gamma) else 1.0 / gamma
-        return ApplicationExponent(app, 1.0 / (alpha + 1.0 + inv_g), dict(p))
+        return 1.0 / (alpha + 1.0 + inv_g)
     raise ValueError(f"unknown application {app!r}")
 
 

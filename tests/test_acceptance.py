@@ -276,7 +276,7 @@ def test_criterion_10_application_exponent_table():
     ]
     ok = True
     for (app, params), expected in cases:
-        got = application_exponents(app, **params).exponent
+        got = application_exponents(app, **params)
         ok &= got == pytest.approx(float(expected), abs=1e-12)
     # weak-dependence limit recovers the independent-data exponents exactly
     for app, params, iid in [
@@ -284,7 +284,7 @@ def test_criterion_10_application_exponent_table():
         ("additive", {"s": 2.0, "d_as": 0.5}, 1.5 / 5.0),
         ("classification", {"alpha": 2.0}, 1.0 / 3.0),
     ]:
-        got = application_exponents(app, gamma=math.inf, **params).exponent
+        got = application_exponents(app, gamma=math.inf, **params)
         ok &= got == pytest.approx(iid, abs=1e-15)
     assert report(10, "application exponent calculator with independent-data "
                   "limits", ok)

@@ -83,6 +83,13 @@ class TestEntropyCalculus:
         m = EntropyModel(alpha=1.0)
         with pytest.raises(ValueError):
             lipschitz_compose(m, 0.0)
+        # a model is checked when it is built; NaN fails every field's check
+        for field, bad in [("K", 0.0), ("D", 0.5), ("theta", 0.0), ("alpha", -1.0),
+                           ("V", -1.0), ("sigma", 0.0), ("sigma", 2.0), ("b", 0.5),
+                           ("B", 1.0), ("r", 0.5)]:
+            for value in (bad, math.nan):
+                with pytest.raises(ValueError, match="need|norm index"):
+                    EntropyModel(**{field: value})
 
 
 class TestSupHalflines:

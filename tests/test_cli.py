@@ -6,7 +6,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from mixrate import rates
 from mixrate.cli import SCHEMAS, config_hash, main
+from mixrate.empirical import _STATISTICS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -101,20 +103,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg_path,
                      "--output-dir", str(tmp_path / "o")]) == 2
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        # a periodic chain passes the schema; power iteration for its
-        # stationary law then fails to converge
-        cfg_path = write_cfg(tmp_path, "sim.json",
-                             {"dgp": {"generator": "markov",
-                                      "params": {"transition": [[0.0, 1.0],
-                                                                [1.0, 0.0]],
-                                                 "state_values": [0.2, 0.8]}},
-                              "statistic": "ks",
-                              "n_grid": [64, 128, 256, 512],
-                              "replications": 30, "base_seed": 0})
-        assert main(["simulate", "--config", cfg_path,
-                     "--output-dir", str(tmp_path / "o")]) == 3
-
     @pytest.mark.parametrize("dgp,extra", [
         ({"generator": "renewal"}, {}),
         ({"generator": "renewal", "params": {"l_max": 100}}, {}),
@@ -129,15 +117,66 @@ class TestSimulateCommand:
             "renewal_zero_tail", "ar1_no_a", "ar1_unit_root",
             "markov_no_values", "markov_no_transition", "negative_tolerance"])
     def test_config_fault_exits_2(self, tmp_path, capsys, dgp, extra):
+        # simulate rejects ar1 and markov whatever their params, so their
+        # params faults run through mixing-est, which reads the same dgp schema
+        if dgp["generator"] in ("ar1", "markov"):
+            command, cfg = "mixing-est", {"dgp": dgp, "n": 5000, "q_grid": [1, 5],
+                                          "m_bins": 2, "seed": 3}
+        else:
+            command, cfg = "simulate", {"dgp": dgp, "statistic": "ks",
+                                        "n_grid": [64, 128, 256, 512],
+                                        "replications": 30, "base_seed": 0, **extra}
+        cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "marginal" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dgp,marginal", [
+        ({"generator": "ar1", "params": {"a": 0.0}}, "Gaussian"),
+        ({"generator": "markov",
+          "params": {"transition": [[0.5, 0.5], [0.5, 0.5]],
+                     "state_values": [0.2, 0.8]}}, "discrete"),
+    ], ids=["ar1", "markov"])
+    def test_non_uniform_marginal_exits_2(self, tmp_path, capsys, dgp, marginal):
+        # the statistics are centred at the Uniform[0, 1] CDF: an i.i.d.
+        # N(0, 1) sample would read a slope near 1/2 and fail its verdict
         cfg_path = write_cfg(tmp_path, "sim.json",
                              {"dgp": dgp, "statistic": "ks",
                               "n_grid": [64, 128, 256, 512],
-                              "replications": 30, "base_seed": 0, **extra})
+                              "replications": 30, "base_seed": 0})
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg_path,
                      "--output-dir", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and f"has a {marginal}" in err
         assert not out.exists()
+
+    def test_theory_exponent_is_the_rate_table(self, tmp_path):
+        """summary.json's theory exponent is rate_exponent's for the
+        statistic's entropy exponent (ks 0, monotone and w1 1) and the
+        renewal tail exponent, within 1e-8 of the closed form
+        (1 - beta)/(2(1 + beta)) for beta < 1 (0 beyond), and equal to it at
+        the example configs' tail exponents 0.5 and 3.0."""
+        alphas = {"ks": 0, "monotone": 1, "w1": 1}
+        assert set(alphas) == set(_STATISTICS)
+        for beta in (0.05, 0.3, 0.5, 0.7, 0.999, 1.0, 1.3, 3.0, 7.5):
+            closed = (1.0 - beta) / (2.0 * (1.0 + beta)) if beta < 1 else 0.0
+            for statistic, alpha in alphas.items():
+                out = tmp_path / f"{statistic}_{beta}"
+                cfg_path = write_cfg(tmp_path, "sim.json", {
+                    "dgp": {"generator": "renewal",
+                            "params": {"tail_exponent": beta, "l_max": 50}},
+                    "statistic": statistic, "n_grid": [16, 32, 64, 128],
+                    "replications": 30, "base_seed": 0})
+                assert main(["simulate", "--config", cfg_path,
+                             "--output-dir", str(out)]) == 0
+                theory = json.loads((out / "summary.json").read_text())["theory_exponent"]
+                assert theory == float(rates.rate_exponent(alpha, beta).exponent)
+                assert theory == pytest.approx(closed, rel=0, abs=1e-8)
+                if beta in (0.5, 3.0):
+                    assert theory == closed
 
 
 class TestMixingEstCommand:
@@ -157,17 +196,28 @@ class TestMixingEstCommand:
         # exact column populated for a finite chain
         assert all(len(r.split(",")) == 3 and r.split(",")[2] for r in rows[1:])
 
+    def test_numerical_failure_exits_3(self, tmp_path):
+        # a periodic chain passes the schema; power iteration for its
+        # stationary law then fails to converge
+        cfg_path = write_cfg(tmp_path, "mix.json",
+                             {"dgp": {"generator": "markov",
+                                      "params": {"transition": [[0.0, 1.0],
+                                                                [1.0, 0.0]],
+                                                 "state_values": [0.2, 0.8]}},
+                              "n": 5000, "q_grid": [1, 5], "m_bins": 2, "seed": 3})
+        assert main(["mixing-est", "--config", cfg_path,
+                     "--output-dir", str(tmp_path / "o")]) == 3
+
 
 class TestSemanticConfigFaults:
     """Config faults, in the schemas or beyond them, exit 2 before anything
     is written."""
 
     @pytest.mark.parametrize("command,cfg", [
-        ("simulate", {"dgp": {"generator": "markov",
-                              "params": {"transition": [[0.5, 0.6], [0.5, 0.5]],
-                                         "state_values": [0.2, 0.8]}},
-                      "statistic": "ks", "n_grid": [64, 128, 256, 512],
-                      "replications": 30, "base_seed": 0}),
+        ("mixing-est", {"dgp": {"generator": "markov",
+                                "params": {"transition": [[0.5, 0.6], [0.5, 0.5]],
+                                           "state_values": [0.2, 0.8]}},
+                        "n": 5000, "q_grid": [1, 5], "m_bins": 2, "seed": 3}),
         ("mixing-est", {"dgp": {"generator": "markov",
                                 "params": {"transition": [[0.9, 0.1], [0.2, 0.8]],
                                            "state_values": [0.2, 0.5, 0.8]}},

@@ -72,7 +72,6 @@ def frozen_verify_variance_bound(transition, stationary, h, q, r):
 
 def make_sample(values):
     return mixing.SequenceSample(values=np.asarray(values, dtype=float),
-                                 generator_id="test", params={}, seed=0,
                                  mixing_oracle=None)
 
 
@@ -226,7 +225,8 @@ class TestVarianceBound:
         h = np.array([1.0, 0.0])
         for q, r in [(5, 2), (5, 1.5), (0, 4), (-1, 4), ([3, 0, 5], 4),
                      (5, [3, 2]), ([1, 2], [4, 2.0]), (5, math.nan),
-                     ([1, 2], [4, math.nan])]:
+                     ([1, 2], [4, math.nan]), (math.nan, 4), ([3, math.nan], 4),
+                     (2.5, 4), ([2.5, 3], 4)]:
             with pytest.raises(ValueError):
                 verify_variance_bound(self.P, self.PI, h, q, r)
             # rejected at the boundary, before the transition is ever used

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,13 @@ class TestGenFiniteMarkov:
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(mixing.ConstructionError):
             mixing.gen_finite_markov(P, np.array([0.0, 1.0]), 10, seed=0)
+
+    @pytest.mark.parametrize("state_values", [[[0.2], [0.8]], [0.2, 0.5, 0.8], [0.2]],
+                             ids=["column", "too_long", "too_short"])
+    def test_state_values_one_number_per_state(self, state_values):
+        # the generator and the CLI share one check of (transition, state_values)
+        with pytest.raises(mixing.ConstructionError, match="one number per state"):
+            mixing.gen_finite_markov(P_LAZY, state_values, 10, seed=0)
 
 
 def loop_gen_finite_markov(transition, state_values, n, seed):
@@ -188,8 +197,7 @@ class TestGenRenewalChain:
         T, pi, _ = mixing.renewal_age_value_chain(0.5, 50, 10)
         s = mixing.gen_renewal_chain(0.5, 50, 10**5, seed=11)
         disc = np.floor(s.values * 10)
-        sd = mixing.SequenceSample(values=disc, generator_id="disc", params={},
-                                   seed=11, mixing_oracle=None)
+        sd = mixing.SequenceSample(values=disc, mixing_oracle=None)
         est = mixing.estimate_beta_binning(sd, 10, 10)
         exact = mixing.exact_beta_markov(T, pi, 10)
         assert est == pytest.approx(exact, abs=0.05)
@@ -258,10 +266,9 @@ class TestExactBetaMarkov:
         assert mixing.exact_beta_markov(P_LAZY, PI_LAZY, 1) == pytest.approx(0.4, abs=1e-12)
 
     def test_negative_q_rejected(self):
-        with pytest.raises(ValueError):
-            mixing.exact_beta_markov(P_LAZY, PI_LAZY, -1)
-        with pytest.raises(ValueError):
-            mixing.exact_beta_markov(P_LAZY, PI_LAZY, [3, -1, 2])
+        for q in (-1, [3, -1, 2], math.nan, [3, math.nan], 2.5, [1, 2.5]):
+            with pytest.raises(ValueError, match="gap q must be an integer >= 0"):
+                mixing.exact_beta_markov(P_LAZY, PI_LAZY, q)
 
     def test_int_gap_returns_float(self):
         assert type(mixing.exact_beta_markov(P_LAZY, PI_LAZY, 0)) is float
@@ -335,7 +342,6 @@ class TestEstimateBetaBinning:
 
     def test_constant_sequence(self):
         s = mixing.SequenceSample(values=np.full(10**4, 0.37),
-                                  generator_id="const", params={}, seed=0,
                                   mixing_oracle=None)
         assert mixing.estimate_beta_binning(s, 3, 8) == pytest.approx(1 - 1 / 8,
                                                                       abs=0.01)

@@ -77,8 +77,9 @@ class TestLambdaPhiBeta:
             assert isinstance(grid, np.ndarray) and grid.tolist() == frozen
             assert [lambda_phi_beta(profile, g, r) for g in gaps] == frozen
         assert lambda_phi_beta(profile, [], 4).shape == (0,)
-        with pytest.raises(ValueError):
-            lambda_phi_beta(profile, [2, -1], 4)
+        for q in ([2, -1], math.nan, [2, math.nan], 2.5, [2.5, 3]):
+            with pytest.raises(ValueError, match="gap q must be an integer >= 0"):
+                lambda_phi_beta(profile, q, 4)
         # an r grid adds a trailing axis: column j is the call at r_j
         table = lambda_phi_beta(profile, gaps, [2.5, 4, 8.0])
         assert table.shape == (len(gaps), 3)
@@ -515,6 +516,14 @@ class TestRateExponent:
             rhs = Fraction(1, 2) - 1 / curve_alpha
             assert lhs == rhs
 
+    def test_tiny_decay_is_not_rounded_to_zero(self):
+        # below 5e-7 the 10**6-denominator rounding would reach beta = 0
+        for beta in (4e-7, 1e-9):
+            rep = rate_exponent(1, beta)
+            assert rep.regime == Regime.DEPENDENCE_DOMINATED
+            assert float(rep.exponent) == pytest.approx(
+                (1 - beta) / (2 * (1 + beta)), rel=0, abs=1e-15)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             rate_exponent(-1, 1)
@@ -525,6 +534,15 @@ class TestRateExponent:
 
 
 class TestPiN:
+    def test_entropy_constant_is_k_times_d(self):
+        # pi_n reads the entropy constant K * D, as entropy_eval does
+        for alpha, gamma in [(0.5, 2.0), (2.5, 1.0), (5.0, 1.0)]:  # the three cases
+            split = EntropyModel(K=2.0, D=1.5, alpha=alpha, V=1.0, r=2.0)
+            whole = EntropyModel(K=1.0, D=3.0, alpha=alpha, V=1.0, r=2.0)
+            assert entropy_eval(split, 0.5) == entropy_eval(whole, 0.5)
+            assert pi_n(split, gamma, 0.5, 4096, enforce_scale=False) \
+                == pi_n(whole, gamma, 0.5, 4096, enforce_scale=False)
+
     def test_vc_case_closed_form(self):
         ent = EntropyModel(D=3.0, alpha=0.0, V=0.0, r=2.0, sigma=1.0, b=1.0)
         gamma, n = 2.0, 4096
@@ -607,6 +625,21 @@ class TestPhaseDiagram:
         beta_star = r / (r - 2.0)
         assert boundary_curve(beta_star, r) == pytest.approx(2.0)
 
+    def test_curve_equals_float_formulas(self):
+        """boundary_curve reads rate_exponent's regime table in floats, and
+        equals the float formulas it replaced bit for bit."""
+        def frozen(beta, r):
+            if math.isinf(r):
+                return (1.0 + beta) / beta if beta <= 1.0 else 2.0
+            if beta <= r / (r - 2.0):
+                return r * (1.0 + beta) / (beta * (r - 1.0))
+            return 2.0
+
+        for r in (math.inf, 2.5, 3, 4, 8, 17.3):
+            knees = [1.0] if math.isinf(r) else [r / (r - 2.0)]
+            for beta in np.geomspace(1e-3, 50.0, 2001).tolist() + knees:
+                assert boundary_curve(beta, r) == frozen(beta, r), (beta, r)
+
     def test_cell_labels(self):
         diag = phase_diagram([0.5, 2.0], [1.0], math.inf)
         labels = {(b, a): rep for b, a, rep in diag.cells}
@@ -621,23 +654,23 @@ class TestPhaseDiagram:
 
 class TestApplicationExponents:
     def test_dnn_iid_limit(self):
-        rec = application_exponents("dnn", s=2.0, d=4, gamma=math.inf)
-        assert rec.exponent == pytest.approx(2.0 / (4 + 4))
+        assert application_exponents("dnn", s=2.0, d=4, gamma=math.inf) \
+            == pytest.approx(2.0 / (4 + 4))
 
     def test_dnn_dependent(self):
-        rec = application_exponents("dnn", s=2.0, d=4, gamma=1.0)
-        assert rec.exponent == pytest.approx(2.0 / 12.0)
+        assert application_exponents("dnn", s=2.0, d=4, gamma=1.0) \
+            == pytest.approx(2.0 / 12.0)
 
     def test_additive_iid_limit(self):
-        rec = application_exponents("additive", s=2.0, gamma=math.inf, d_as=0.0)
-        assert rec.exponent == pytest.approx(4.0 / 5.0)  # 2s/(2s+1)
+        assert application_exponents("additive", s=2.0, gamma=math.inf, d_as=0.0) \
+            == pytest.approx(4.0 / 5.0)  # 2s/(2s+1)
 
     def test_additive_growing_dimension(self):
-        rec = application_exponents("additive", s=1.0, gamma=2.0, d_as=0.2)
-        assert rec.exponent == pytest.approx(1.4 / 4.0)
+        assert application_exponents("additive", s=1.0, gamma=2.0, d_as=0.2) \
+            == pytest.approx(1.4 / 4.0)
 
     def test_convex_worst(self):
-        assert application_exponents("convex_worst", d=6, beta=0.6).exponent \
+        assert application_exponents("convex_worst", d=6, beta=0.6) \
             == pytest.approx(1.0 / 3.0)
         with pytest.raises(BoundaryParameterError):
             application_exponents("convex_worst", d=6, beta=0.5)
@@ -645,24 +678,24 @@ class TestApplicationExponents:
             application_exponents("convex_worst", d=4, beta=3.0)
 
     def test_convex_adapt(self):
-        assert application_exponents("convex_adapt", d=10, gamma=1.5).exponent \
+        assert application_exponents("convex_adapt", d=10, gamma=1.5) \
             == pytest.approx(0.4)
         with pytest.raises(ValueError):
             application_exponents("convex_adapt", d=8, gamma=2.0)
 
     def test_ot_both_regimes(self):
-        assert application_exponents("ot", beta=0.5, d=4).exponent \
+        assert application_exponents("ot", beta=0.5, d=4) \
             == pytest.approx(1.0 / 3.0)
-        assert application_exponents("ot", beta=3.0, d=4).exponent \
+        assert application_exponents("ot", beta=3.0, d=4) \
             == pytest.approx(0.5)
         with pytest.raises(BoundaryParameterError):
             application_exponents("ot", beta=1.0, d=4)
 
     def test_classification(self):
         assert application_exponents("classification", alpha=1.0,
-                                     gamma=math.inf).exponent == pytest.approx(0.5)
+                                     gamma=math.inf) == pytest.approx(0.5)
         assert application_exponents("classification", alpha=1.0,
-                                     gamma=1.0).exponent == pytest.approx(1.0 / 3.0)
+                                     gamma=1.0) == pytest.approx(1.0 / 3.0)
 
 
 class TestOtSchedule:
