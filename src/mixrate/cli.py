@@ -188,6 +188,15 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not standard JSON; write \"inf\" for an infinite r")
 
 
+class _JsonFraction(float):
+    """A JSON number written with a fraction or an exponent, such as 1.0.
+    It is never integral, so a schema's integer type, which admits integral
+    floats, rejects it before numpy meets it as a size or an index."""
+
+    def is_integer(self) -> bool:
+        return False
+
+
 def _r_value(x):
     return math.inf if x == "inf" else float(x)
 
@@ -254,8 +263,7 @@ def _cmd_mixing_est(cfg: dict, outdir: Path) -> None:
     prof = sample.mixing_oracle
     exact = [""] * len(estimates)
     if prof is not None and prof.kind == mixing.ProfileKind.EXACT_MARKOV:
-        exact = mixing.exact_beta_markov(prof.transition, prof.stationary,
-                                         cfg["q_grid"]).tolist()
+        exact = mixing.exact_beta_markov(prof, cfg["q_grid"]).tolist()
     rows = [[q, float(est), ex] for q, est, ex in zip(cfg["q_grid"], estimates, exact)]
     atomic_write(outdir / "mixing_est.csv",
                  _csv_text(["q", "estimate", "exact"], rows))
@@ -377,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     schema_key = args.command.replace("-", "_")
     try:
         cfg = {} if args.config is None else json.loads(
-            Path(args.config).read_text(), parse_constant=_reject_constant)
+            Path(args.config).read_text(), parse_constant=_reject_constant,
+            parse_float=_JsonFraction)
         # the schemas are constants: the tests check them against the
         # metaschema, a check that would cost every run milliseconds
         jsonschema.Draft202012Validator(SCHEMAS[schema_key]).validate(cfg)

@@ -63,17 +63,6 @@ def _gap_list(q, least: int) -> list[int]:
     return gaps
 
 
-def _check_stationary(stationary, m: int) -> np.ndarray:
-    """A probability vector of length m, within _STATIONARY_TOL: pi P = pi
-    alone admits any multiple of pi."""
-    pi = np.asarray(stationary, dtype=float)
-    if (pi.shape != (m,) or not (pi >= -_STATIONARY_TOL).all()
-            or not abs(float(pi.sum()) - 1.0) <= _STATIONARY_TOL):
-        raise ConstructionError(
-            f"stationary vector must be a probability vector of length {m}")
-    return pi
-
-
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix by power iteration.
 
@@ -123,23 +112,33 @@ class MixingProfile:
     values: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if self.kind == ProfileKind.EXACT_MARKOV:
             t = _check_stochastic(self.transition)
-            pi = _check_stationary(self.stationary, len(t))
+            # pi P = pi alone admits any multiple of pi
+            pi = np.asarray(self.stationary, dtype=float)
+            if (pi.shape != (len(t),) or not (pi >= -_STATIONARY_TOL).all()
+                    or not abs(float(pi.sum()) - 1.0) <= _STATIONARY_TOL):
+                raise ConstructionError(
+                    f"stationary vector must be a probability vector of length {len(t)}")
             if np.abs(pi @ t - pi).max() > _STATIONARY_TOL:
                 raise ConstructionError("stationary vector does not satisfy pi P = pi")
             object.__setattr__(self, "transition", t)
             object.__setattr__(self, "stationary", pi)
-        elif self.kind == ProfileKind.POLYNOMIAL:
-            if self.exponent <= 0:
-                raise ValueError("polynomial profile needs exponent > 0")
         elif self.kind == ProfileKind.TABULATED:
             v = np.asarray(self.values, dtype=float)
-            if np.any(v < 0) or np.any(v > 1):
+            if not ((v >= 0) & (v <= 1)).all():
                 raise ValueError("tabulated coefficients must lie in [0,1]")
             if np.any(np.diff(v) > 1e-12):
                 raise ValueError("tabulated coefficients must be non-increasing")
             object.__setattr__(self, "values", v)
+        else:
+            if not self.scale >= 0:
+                raise ValueError("polynomial and exponential profiles need scale >= 0")
+            if self.kind == ProfileKind.POLYNOMIAL and not self.exponent > 0:
+                raise ValueError("polynomial profile needs exponent > 0")
+            if self.kind == ProfileKind.EXPONENTIAL and not self.rate > 0:
+                raise ValueError("exponential profile needs rate > 0")
 
     def coefficient(self, q: int) -> float:
         """Mixing coefficient at gap q; coefficient(0) = 1 by convention."""
@@ -148,7 +147,7 @@ class MixingProfile:
         if q == 0:
             return 1.0
         if self.kind == ProfileKind.EXACT_MARKOV:
-            return exact_beta_markov(self.transition, self.stationary, q)
+            return exact_beta_markov(self, q)
         if self.kind == ProfileKind.POLYNOMIAL:
             return min(1.0, self.scale * (1.0 + q) ** (-self.exponent))
         if self.kind == ProfileKind.EXPONENTIAL:
@@ -169,8 +168,7 @@ class MixingProfile:
         if q_max < 0:
             raise ValueError("q_max must be >= 0")
         if self.kind == ProfileKind.EXACT_MARKOV:
-            return exact_beta_markov(self.transition, self.stationary,
-                                     np.arange(q_max + 1))
+            return exact_beta_markov(self, np.arange(q_max + 1))
         return np.array([self.coefficient(q) for q in range(q_max + 1)])
 
     @staticmethod
@@ -366,9 +364,10 @@ def gen_iid_uniform(n: int, seed: int) -> SequenceSample:
     return SequenceSample(values=rng.random(n), mixing_oracle=MixingProfile.iid())
 
 
-def exact_beta_markov(transition, stationary,
+def exact_beta_markov(profile: MixingProfile,
                       q: int | Sequence[int]) -> float | np.ndarray:
-    """Exact beta coefficient of a stationary finite chain at gap q.
+    """Exact beta coefficient at gap q of the chain of an ``exact_markov``
+    profile, checked when the profile was built.
 
     Uses the two-coordinate identity for stationary Markov chains:
     beta_q = sum_x pi(x) * TV(P^q(x, .), pi), with TV the half-L1 distance,
@@ -378,13 +377,14 @@ def exact_beta_markov(transition, stationary,
     of the repeated squares P^(2^k) over the set bits k of q, low bits
     first, except P^3 = (P @ P) @ P.  A block of at most 4096 matrix
     entries is formed at a time, one stacked product per bit, and its row
-    TV distances are reduced together.  ``stationary`` must be
-    a probability vector (:class:`ConstructionError` otherwise).
+    TV distances are reduced together.  A profile of another kind raises
+    ``ValueError``.
     """
+    if profile.kind != ProfileKind.EXACT_MARKOV:
+        raise ValueError("exact beta needs an exact_markov profile")
     # Python ints keep a scalar call close to the cost of its matrix products
     gaps = _gap_list(q, 0)
-    transition = _check_stochastic(transition)
-    pi = _check_stationary(stationary, len(transition))
+    transition, pi = profile.transition, profile.stationary
     squares = [transition]
     for _ in range(1, max(gaps, default=0).bit_length()):
         squares.append(squares[-1] @ squares[-1])

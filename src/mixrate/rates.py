@@ -304,9 +304,12 @@ def rate_exponent(alpha, dep_exponent, r_or_inf=math.inf) -> RegimeReport:
     if not (r > 2):
         raise ValueError("norm index must exceed 2 (or be inf)")
     alpha_frac = Fraction(alpha).limit_denominator(10**6)
-    # a beta below 5e-7 would round to the excluded 0: it is kept exact
+    # a beta below 5e-7 would round to the excluded 0, and an r within 5e-7
+    # of 2 onto the excluded 2: each is then kept exact
     beta_frac = Fraction(dep_exponent).limit_denominator(10**6) or Fraction(dep_exponent)
     r_frac = r if math.isinf(r) else Fraction(r).limit_denominator(10**6)
+    if r_frac <= 2:
+        r_frac = Fraction(r)
     beta_star, curve, dep_exp = _regime_table(beta_frac, r_frac)
     below = Regime.DEPENDENCE_DOMINATED
     if beta_frac >= beta_star:

@@ -21,6 +21,7 @@ from mixrate.ot import exact_w2, sinkhorn_divergence, t_eps_k
 from mixrate.rates import (BoundaryParameterError, Regime,
                            application_exponents, boundary_curve, pi_n,
                            rate_exponent, solve_delta_n, tau_q)
+from test_mixing import markov_profile
 from test_rates import frozen_tau_q
 
 ORACLE = uniform01_cdf()
@@ -150,7 +151,7 @@ def test_criterion_6_exact_beta_oracle_and_binning():
             Pq = np.linalg.matrix_power(P, q)
             joint = pi[:, None] * Pq
             brute = 0.5 * float(np.abs(joint - np.outer(pi, pi)).sum())
-            max_gap = max(max_gap, abs(exact_beta_markov(P, pi, q) - brute))
+            max_gap = max(max_gap, abs(exact_beta_markov(markov_profile(P, pi), q) - brute))
     P2 = np.array([[0.9, 0.1], [0.1, 0.9]])
     pi2 = stationary_distribution(P2)
     sample = empirical.generate(
@@ -158,7 +159,7 @@ def test_criterion_6_exact_beta_oracle_and_binning():
          "params": {"transition": P2.tolist(), "state_values": [0.2, 0.8]}},
         10**5, 5)
     max_est_err = max(abs(estimate_beta_binning(sample, q, 2)
-                          - exact_beta_markov(P2, pi2, q))
+                          - exact_beta_markov(markov_profile(P2, pi2), q))
                       for q in range(1, 11))
     ok = max_gap <= 1e-12 and max_est_err <= 0.05
     assert report(6, "exact dependence coefficient vs brute force + binning "

@@ -1,3 +1,4 @@
+import copy
 import filecmp
 import json
 import math
@@ -49,6 +50,13 @@ class TestRatesCommand:
         first = (out / "rates.csv").read_bytes()
         main(["rates", "--config", cfg_path, "--output-dir", str(out)])
         assert (out / "rates.csv").read_bytes() == first
+
+    def test_norm_index_just_above_two(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, "rates.json",
+                             {"cells": [{"alpha": 1.0, "beta": 0.5, "r": 2.0000001}]})
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg_path, "--output-dir", str(out)]) == 0
+        assert "dependence_dominated" in (out / "rates.csv").read_text()
 
     def test_schema_violation_exits_2(self, tmp_path):
         cfg_path = write_cfg(tmp_path, "bad.json",
@@ -269,6 +277,47 @@ class TestSemanticConfigFaults:
             "phase_nan_beta", "simulate_nan_tail_exponent",
             "mixing_est_nan_transition"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
+        cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestIntegerFields:
+    """JSON Schema's integer admits 1.0; a config that writes an integer
+    field as a float exits 2 before anything is written."""
+
+    VALID = {
+        "mixing-est": {"dgp": {"generator": "iid_uniform"},
+                       "n": 1000, "q_grid": [1, 5], "m_bins": 2, "seed": 3},
+        "simulate": {"dgp": {"generator": "renewal",
+                             "params": {"tail_exponent": 0.5, "l_max": 100}},
+                     "statistic": "ks", "n_grid": [64, 128, 256, 512],
+                     "replications": 30, "base_seed": 0},
+        "ot-bench": {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
+                     "n_grid": [16, 24, 32, 48], "replications": 1,
+                     "base_seed": 0, "k_override": 20},
+        "verify": {"seed": 0},
+    }
+
+    @pytest.mark.parametrize("command,path", [
+        ("mixing-est", ["n"]), ("mixing-est", ["q_grid", 1]),
+        ("mixing-est", ["m_bins"]), ("mixing-est", ["seed"]),
+        ("simulate", ["n_grid", 0]), ("simulate", ["replications"]),
+        ("simulate", ["base_seed"]), ("simulate", ["dgp", "params", "l_max"]),
+        ("ot-bench", ["d"]), ("ot-bench", ["n_grid", 3]),
+        ("ot-bench", ["replications"]), ("ot-bench", ["base_seed"]),
+        ("ot-bench", ["k_override"]), ("verify", ["seed"]),
+    ], ids=lambda x: x if isinstance(x, str) else "/".join(map(str, x)))
+    def test_float_exits_2_and_writes_nothing(self, tmp_path, capsys, command, path):
+        cfg = copy.deepcopy(self.VALID[command])
+        # valid as written, so the float alone is the fault
+        jsonschema.Draft202012Validator(SCHEMAS[command.replace("-", "_")]).validate(cfg)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = float(node[path[-1]])
         cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
         out = tmp_path / "o"
         assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2

@@ -11,6 +11,11 @@ P_LAZY = np.array([[0.9, 0.1], [0.1, 0.9]])
 PI_LAZY = np.array([0.5, 0.5])
 
 
+def markov_profile(P, pi):
+    return mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
+                                transition=P, stationary=pi)
+
+
 def lag_autocorr(x, lag):
     x = x - x.mean()
     return float(np.dot(x[:-lag], x[lag:]) / np.dot(x, x))
@@ -25,7 +30,8 @@ class TestGenFiniteMarkov:
         pi = np.array([0.2, 0.5, 0.3])
         P = np.tile(pi, (3, 1))
         s = mixing.gen_finite_markov(P, np.arange(3.0), 1000, seed=1)
-        assert mixing.exact_beta_markov(P, pi, 1) == pytest.approx(0.0, abs=1e-12)
+        assert (mixing.exact_beta_markov(markov_profile(P, pi), 1)
+                == pytest.approx(0.0, abs=1e-12))
         assert len(s.values) == 1000
 
     def test_lazy_chain_lag1_autocorrelation(self):
@@ -199,7 +205,7 @@ class TestGenRenewalChain:
         disc = np.floor(s.values * 10)
         sd = mixing.SequenceSample(values=disc, mixing_oracle=None)
         est = mixing.estimate_beta_binning(sd, 10, 10)
-        exact = mixing.exact_beta_markov(T, pi, 10)
+        exact = mixing.exact_beta_markov(markov_profile(T, pi), 10)
         assert est == pytest.approx(exact, abs=0.05)
 
     def test_invalid_parameters(self):
@@ -252,34 +258,36 @@ class TestGenAr1:
 
 class TestExactBetaMarkov:
     def test_q_zero_is_one(self):
-        assert mixing.exact_beta_markov(P_LAZY, PI_LAZY, 0) == 1.0
+        assert mixing.exact_beta_markov(markov_profile(P_LAZY, PI_LAZY), 0) == 1.0
 
     def test_independent_rows_give_zero(self):
         pi = np.array([0.3, 0.7])
         P = np.tile(pi, (2, 1))
         for q in (1, 2, 5):
-            assert mixing.exact_beta_markov(P, pi, q) == pytest.approx(0.0, abs=1e-14)
+            assert (mixing.exact_beta_markov(markov_profile(P, pi), q)
+                    == pytest.approx(0.0, abs=1e-14))
 
     def test_lazy_two_state_value(self):
         # direct enumeration over the 4 joint cells:
         # (1/2) * sum |pi(x) P(x,y) - pi(x) pi(y)| = 0.4
-        assert mixing.exact_beta_markov(P_LAZY, PI_LAZY, 1) == pytest.approx(0.4, abs=1e-12)
+        assert (mixing.exact_beta_markov(markov_profile(P_LAZY, PI_LAZY), 1)
+                == pytest.approx(0.4, abs=1e-12))
 
     def test_negative_q_rejected(self):
         for q in (-1, [3, -1, 2], math.nan, [3, math.nan], 2.5, [1, 2.5]):
             with pytest.raises(ValueError, match="gap q must be an integer >= 0"):
-                mixing.exact_beta_markov(P_LAZY, PI_LAZY, q)
+                mixing.exact_beta_markov(markov_profile(P_LAZY, PI_LAZY), q)
 
     def test_int_gap_returns_float(self):
-        assert type(mixing.exact_beta_markov(P_LAZY, PI_LAZY, 0)) is float
-        assert type(mixing.exact_beta_markov(P_LAZY, PI_LAZY, 7)) is float
+        assert type(mixing.exact_beta_markov(markov_profile(P_LAZY, PI_LAZY), 0)) is float
+        assert type(mixing.exact_beta_markov(markov_profile(P_LAZY, PI_LAZY), 7)) is float
 
     @pytest.mark.parametrize("m", [2, 5, 20, 70])
     def test_scalar_gap_matches_matrix_power(self, m):
         rng = np.random.default_rng(m)
         prof = random_chain(rng, m)
         for q in (1, 2, 3, 4, 5, 7, 8, 1023, 4096, 65535, 65536, 99_999, 100_000):
-            assert (mixing.exact_beta_markov(prof.transition, prof.stationary, q)
+            assert (mixing.exact_beta_markov(prof, q)
                     == matrix_power_beta(prof.transition, prof.stationary, q))
 
     @pytest.mark.parametrize("m,gaps", [
@@ -295,13 +303,13 @@ class TestExactBetaMarkov:
             "contiguous_and_large"])
     def test_grid_equals_scalar_calls(self, m, gaps):
         prof = random_chain(np.random.default_rng(m), m)
-        betas = mixing.exact_beta_markov(prof.transition, prof.stationary, gaps)
+        betas = mixing.exact_beta_markov(prof, gaps)
         assert betas.shape == (len(gaps),)
         assert np.array_equal(betas, [matrix_power_beta(prof.transition, prof.stationary, q)
                                       for q in gaps])
         unsigned = np.array(gaps, dtype=np.uint64)
         assert np.array_equal(
-            mixing.exact_beta_markov(prof.transition, prof.stationary, unsigned), betas)
+            mixing.exact_beta_markov(prof, unsigned), betas)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -311,7 +319,7 @@ class TestExactBetaMarkov:
         np.fill_diagonal(P, P.diagonal() + 1.0)  # lazy: a_ii > 0
         P /= P.sum(axis=1, keepdims=True)
         pi = mixing.stationary_distribution(P)
-        vals = [mixing.exact_beta_markov(P, pi, q) for q in range(6)]
+        vals = [mixing.exact_beta_markov(markov_profile(P, pi), q) for q in range(6)]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(5))
 
@@ -350,8 +358,8 @@ class TestEstimateBetaBinning:
         s = mixing.gen_finite_markov(P_LAZY, np.array([0.0, 1.0]), 10**5, seed=5)
         for q in (1, 3):
             est = mixing.estimate_beta_binning(s, q, 2)
-            assert est == pytest.approx(mixing.exact_beta_markov(P_LAZY, PI_LAZY, q),
-                                        abs=0.05)
+            exact = mixing.exact_beta_markov(markov_profile(P_LAZY, PI_LAZY), q)
+            assert est == pytest.approx(exact, abs=0.05)
 
     def test_q_grid_equals_scalar_calls(self):
         s = mixing.gen_finite_markov(np.array([[0.8, 0.2, 0.0], [0.1, 0.6, 0.3],
@@ -441,6 +449,18 @@ class TestMixingProfile:
             mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
                                  transition=transition, stationary=[0.5, 0.5])
 
+    @pytest.mark.parametrize("kind,fields", [
+        ("polynomial", {"exponent": math.nan}),
+        ("polynomial", {"exponent": 1.0, "scale": math.nan}),
+        ("exponential", {"rate": math.nan}),
+        ("exponential", {"rate": -1.0}),
+        ("tabulated", {"values": [1.0, math.nan, 0.1]}),
+    ], ids=["nan_exponent", "nan_scale", "nan_rate", "negative_rate", "nan_value"])
+    def test_fault_rejected(self, kind, fields):
+        # NaN compares False both ways, so each check must fail on it
+        with pytest.raises(ValueError, match="profile|coefficients"):
+            mixing.MixingProfile(kind=mixing.ProfileKind(kind), **fields)
+
 
 class TestStationaryVectorChecked:
     """pi P = pi alone admits any multiple of pi, so a stationary vector
@@ -466,17 +486,16 @@ class TestStationaryVectorChecked:
             mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
                                  transition=P, stationary=pi)
         with pytest.raises(mixing.ConstructionError, match="probability vector"):
-            mixing.exact_beta_markov(P, pi, [0, 5])
-        with pytest.raises(mixing.ConstructionError, match="probability vector"):
             verify_variance_bound(P, pi, np.zeros(len(P)), 5, 4)
 
     def test_probability_vector_within_tolerance_accepted(self):
         pi = self.PI * (1 + 1e-13)
         prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
                                     transition=self.P, stationary=pi)
-        assert mixing.exact_beta_markov(self.P, pi, 5) == prof.coefficient(5)
+        assert mixing.exact_beta_markov(markov_profile(self.P, pi), 5) == prof.coefficient(5)
         # entries may dip below 0 within the tolerance
-        assert abs(mixing.exact_beta_markov(np.eye(2), [1.0, -1e-13], 1)) < 1e-12
+        assert abs(mixing.exact_beta_markov(
+            markov_profile(np.eye(2), [1.0, -1e-13]), 1)) < 1e-12
 
     def test_rounded_stationary_vector_accepted(self):
         """(2, 3, 2) / 7 rounded to 11 digits sums to 1 - 1e-11 and meets
@@ -487,24 +506,56 @@ class TestStationaryVectorChecked:
         assert abs(pi.sum() - 1.0) > mixing._STOCHASTIC_TOL
         prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
                                     transition=P, stationary=pi)
-        assert mixing.exact_beta_markov(P, pi, 4) == prof.coefficient(4)
+        assert mixing.exact_beta_markov(markov_profile(P, pi), 4) == prof.coefficient(4)
         assert verify_variance_bound(P, pi, np.array([1.0, 0.0, -1.0]), 5, 4).holds
 
-    def test_checked_once_per_call(self, monkeypatch):
+
+class TestChainCheckedOnce:
+    """A chain is checked when its profile is built, and every beta read
+    through the profile uses the checked arrays as they are."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
         calls = []
-        check = mixing._check_stationary
-        monkeypatch.setattr(mixing, "_check_stationary",
-                            lambda *a: calls.append(a) or check(*a))
-        mixing.exact_beta_markov(self.P, self.PI, np.arange(200))
-        assert len(calls) == 1
+        check = mixing._check_stochastic
+        monkeypatch.setattr(mixing, "_check_stochastic",
+                            lambda t: calls.append(1) or check(t))
+        return calls
+
+    def test_once_per_verify_variance_bound(self, checks):
+        from mixrate.empirical import verify_variance_bound
+        prof = random_chain(np.random.default_rng(5), 5)
+        checks.clear()
+        verify_variance_bound(prof.transition, prof.stationary,
+                              np.arange(5.0), range(1, 51), (3, 4, 8))
+        assert len(checks) == 1
+
+    def test_bounds_on_a_built_profile_check_nothing(self, checks):
+        from mixrate.classes import EntropyModel
+        from mixrate.rates import finite_class_bound, main_bound
+        prof = random_chain(np.random.default_rng(5), 5)
+        checks.clear()
+        main_bound(EntropyModel(alpha=1.0, sigma=1.0, b=1.0), prof, 100_000, 4.0)
+        assert len(checks) == 0
+        finite_class_bound(1.0, 1.0, 100, 10_000, prof, 4.0)
+        assert len(checks) == 0
+
+    def test_non_stationary_vector_rejected(self):
+        # a probability vector with pi P != pi; the beta oracle would read
+        # 0.35 at q = 1 off it, where beta_1 of the chain is 0.311
+        with pytest.raises(mixing.ConstructionError, match="pi P = pi"):
+            markov_profile(np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([0.5, 0.5]))
+
+    def test_other_profile_kinds_rejected(self):
+        prof = mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL, exponent=1.0)
+        with pytest.raises(ValueError, match="exact_markov"):
+            mixing.exact_beta_markov(prof, 3)
 
 
 def random_chain(rng, m):
     P = rng.random((m, m)) + 0.05
     P /= P.sum(axis=1, keepdims=True)
-    return mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
-                                transition=P,
-                                stationary=mixing.stationary_distribution(P))
+    return markov_profile(P, mixing.stationary_distribution(P))
 
 
 def scalar_coefficients(prof, q_max):
@@ -540,7 +591,8 @@ class TestCoefficientsArray:
         betas = prof.coefficients(40)
         assert betas.shape == (41,)
         for q in (0, 1, 2, 3, 4, 7, 8, 31, 32, 40):
-            assert betas[q] == mixing.exact_beta_markov(P_LAZY, PI_LAZY, q)
+            assert betas[q] == mixing.exact_beta_markov(
+                markov_profile(P_LAZY, PI_LAZY), q)
 
     @pytest.mark.parametrize("prof", [
         mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL, scale=1.0,

@@ -524,6 +524,13 @@ class TestRateExponent:
             assert float(rep.exponent) == pytest.approx(
                 (1 - beta) / (2 * (1 + beta)), rel=0, abs=1e-15)
 
+    def test_norm_index_near_two_is_not_rounded_to_two(self):
+        # within 5e-7 of 2 the 10**6-denominator rounding would reach r = 2,
+        # where the decay threshold r / (r - 2) divides by zero
+        rep = rate_exponent(1.0, 0.5, 2.0000001)
+        assert rep.regime == Regime.DEPENDENCE_DOMINATED
+        assert float(rep.exponent) == pytest.approx(1 / 3, abs=1e-6)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             rate_exponent(-1, 1)
