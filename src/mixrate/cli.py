@@ -139,10 +139,6 @@ SCHEMAS = {
         },
         "required": ["dgp", "d", "beta", "n_grid", "replications", "base_seed"],
         "additionalProperties": False,
-        # the harness needs d >= 2; the (k_n, eps_n) schedule needs d >= 4
-        # and is skipped only when both overrides are given
-        "if": {"not": {"required": ["eps_override", "k_override"]}},
-        "then": {"properties": {"d": {"minimum": 4}}},
     },
     "verify": {
         "type": "object",

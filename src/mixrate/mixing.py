@@ -56,9 +56,10 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
 
 
 def _gap_list(q, least: int) -> list[int]:
-    """Gaps q (an int or a 1-D grid) as Python ints; ValueError unless each is >= least."""
+    """Gaps q (an int or a 1-D grid) as Python ints; ValueError unless each is
+    an int, not a bool, and >= least."""
     gaps = np.atleast_1d(q).tolist()
-    if not all(isinstance(g, int) and g >= least for g in gaps):
+    if not all(type(g) is int and g >= least for g in gaps):
         raise ValueError(f"gap q must be an integer >= {least}")
     return gaps
 
@@ -112,25 +113,28 @@ class MixingProfile:
     values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # each check is written so that NaN fails it; arrays are kept as read-only
+        # copies in the caller's memory order (a C-order copy changes matmul rounding)
         if self.kind == ProfileKind.EXACT_MARKOV:
-            t = _check_stochastic(self.transition)
+            t = _check_stochastic(np.array(self.transition, dtype=float))
             # pi P = pi alone admits any multiple of pi
-            pi = np.asarray(self.stationary, dtype=float)
+            pi = np.array(self.stationary, dtype=float)
             if (pi.shape != (len(t),) or not (pi >= -_STATIONARY_TOL).all()
                     or not abs(float(pi.sum()) - 1.0) <= _STATIONARY_TOL):
                 raise ConstructionError(
                     f"stationary vector must be a probability vector of length {len(t)}")
             if np.abs(pi @ t - pi).max() > _STATIONARY_TOL:
                 raise ConstructionError("stationary vector does not satisfy pi P = pi")
+            t.flags.writeable = pi.flags.writeable = False
             object.__setattr__(self, "transition", t)
             object.__setattr__(self, "stationary", pi)
         elif self.kind == ProfileKind.TABULATED:
-            v = np.asarray(self.values, dtype=float)
+            v = np.array(self.values, dtype=float)
             if not ((v >= 0) & (v <= 1)).all():
                 raise ValueError("tabulated coefficients must lie in [0,1]")
             if np.any(np.diff(v) > 1e-12):
                 raise ValueError("tabulated coefficients must be non-increasing")
+            v.flags.writeable = False
             object.__setattr__(self, "values", v)
         else:
             if not self.scale >= 0:
@@ -140,36 +144,23 @@ class MixingProfile:
             if self.kind == ProfileKind.EXPONENTIAL and not self.rate > 0:
                 raise ValueError("exponential profile needs rate > 0")
 
-    def coefficient(self, q: int) -> float:
-        """Mixing coefficient at gap q; coefficient(0) = 1 by convention."""
-        if q < 0:
-            raise ValueError("gap q must be >= 0")
-        if q == 0:
-            return 1.0
+    def coefficient(self, q: int | Sequence[int]) -> float | np.ndarray:
+        """Mixing coefficient at gap q, 1 at q = 0 by convention: a float for
+        an int q, an array for a 1-D grid of gaps.  Exact Markov profiles
+        delegate to :func:`exact_beta_markov`; the other kinds evaluate the
+        scalar formula per gap (numpy's ``**`` and ``exp`` differ in the last ulp)."""
         if self.kind == ProfileKind.EXACT_MARKOV:
             return exact_beta_markov(self, q)
+        gaps = _gap_list(q, 0)
         if self.kind == ProfileKind.POLYNOMIAL:
-            return min(1.0, self.scale * (1.0 + q) ** (-self.exponent))
-        if self.kind == ProfileKind.EXPONENTIAL:
-            return min(1.0, self.scale * math.exp(-self.rate * q))
-        v = self.values
-        return float(v[q]) if q < len(v) else 0.0
-
-    def coefficients(self, q_max: int) -> np.ndarray:
-        """The sequence coefficient(0), ..., coefficient(q_max) as an array.
-
-        Entry q equals ``coefficient(q)`` bit for bit.  For exact Markov
-        chains one grid call of :func:`exact_beta_markov` shares the
-        O(log q_max) repeated squares among all gaps, which turns the O(q_max)
-        matrix powers of a scalar loop into O(q_max log q_max) small
-        products.  The other kinds are cheap per entry and evaluate the
-        scalar formula.
-        """
-        if q_max < 0:
-            raise ValueError("q_max must be >= 0")
-        if self.kind == ProfileKind.EXACT_MARKOV:
-            return exact_beta_markov(self, np.arange(q_max + 1))
-        return np.array([self.coefficient(q) for q in range(q_max + 1)])
+            out = [min(1.0, self.scale * (1.0 + g) ** (-self.exponent)) for g in gaps]
+        elif self.kind == ProfileKind.EXPONENTIAL:
+            out = [min(1.0, self.scale * math.exp(-self.rate * g)) for g in gaps]
+        else:
+            v = self.values
+            out = [float(v[g]) if g < len(v) else 0.0 for g in gaps]
+        out = [c if g else 1.0 for g, c in zip(gaps, out)]
+        return out[0] if np.ndim(q) == 0 else np.array(out)
 
     @staticmethod
     def iid() -> "MixingProfile":
@@ -446,8 +437,8 @@ def estimate_beta_binning(sample: SequenceSample, q: int | Sequence[int],
     """
     values = np.asarray(sample.values, dtype=float)
     n = len(values)
-    gaps = np.atleast_1d(q)
-    _check_binning(n, gaps, m_bins)
+    _check_binning(n, np.atleast_1d(q), m_bins)
+    gaps = _gap_list(q, 1)
     bins = _rank_bins(values, m_bins)
     out = np.empty(len(gaps))
     for j, gap in enumerate(gaps):

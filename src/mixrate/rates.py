@@ -63,7 +63,7 @@ def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
 
     ``q`` (gaps >= 0) and ``r`` (each > 2) are numbers or 1-D grids: two
     numbers give a float, otherwise an array of shape q's shape + r's shape.
-    One ``profile.coefficients`` call up to the largest gap serves every
+    One ``profile.coefficient`` grid call up to the largest gap serves every
     case, so an exact Markov profile costs O(q log q) small matrix products.
     """
     rs = np.atleast_1d(r).tolist()
@@ -71,7 +71,7 @@ def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
         raise ValueError("r must exceed 2")
     gaps = _gap_list(q, 0)
     _require_beta(profile)
-    coeffs = profile.coefficients(max(gaps, default=0))
+    coeffs = profile.coefficient(np.arange(max(gaps, default=0) + 1))
     out = np.array([_lambdas(coeffs, gaps, rj) for rj in rs]).T
     return float(out[0, 0]) if np.ndim(q) == np.ndim(r) == 0 else \
         out.reshape(np.shape(q) + np.shape(r))
@@ -107,11 +107,11 @@ def _first_crossings(profile: MixingProfile, slopes: Sequence[float],
                      n: int) -> tuple[list[int], np.ndarray]:
     """For each slope s, the first q in [0, n] with beta_q <= q * s, read off
     one beta array that doubles in length (q_max = 1, 2, 4, ..., capped at
-    n) until every slope has crossed; returns the crossings and that array.
-    ``ValueError`` if some slope never crosses."""
-    q_max = 1
+    n) until every slope has crossed, each gap computed once; returns the
+    crossings and that array.  ``ValueError`` if some slope never crosses."""
+    beta, q_max = np.empty(0), 1
     while True:
-        beta = profile.coefficients(q_max)
+        beta = np.concatenate((beta, profile.coefficient(np.arange(len(beta), q_max + 1))))
         qs = np.arange(q_max + 1)
         firsts = [int(np.argmax(beta <= qs * s)) for s in slopes]
         if all(beta[q] <= q * s for q, s in zip(firsts, slopes)):  # argmax is 0 if none
@@ -152,7 +152,7 @@ def finite_class_bound(sigma: float, b: float, cardinality: int, n: int,
     _require_beta(profile)
     c = c_phi(r)  # rejects r <= 2 before 1 - 2/r is formed
     p = 1.0 - 2.0 / r
-    coeffs = profile.coefficients(n)
+    coeffs = profile.coefficient(np.arange(n + 1))
     lam = np.cumsum(coeffs ** p) / p
     q = np.arange(1, n + 1)
     pi_q = np.sqrt(c ** 2 + 2.0 * lam[1:])

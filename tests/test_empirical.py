@@ -62,7 +62,7 @@ def frozen_verify_variance_bound(transition, stationary, h, q, r):
         kind=mixing.ProfileKind.EXACT_MARKOV, flavor=mixing.MixingFlavor.BETA,
         transition=transition, stationary=stationary)
     p = 1.0 - 2.0 / r
-    lam = float(np.sum(profile.coefficients(q) ** p) / p)
+    lam = float(np.sum(profile.coefficient(np.arange(q + 1)) ** p) / p)
     norm = frozen_orlicz_norm_finite(h, stationary, r)
     rhs = q * norm ** 2 * (c_phi(r) ** 2 + 2.0 * lam)
     return empirical.VarianceBoundReport(

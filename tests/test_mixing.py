@@ -396,6 +396,12 @@ class TestEstimateBetaBinning:
             with pytest.raises(mixing.EstimationError, match="q must be >= 1"):
                 mixing.estimate_beta_binning(s, q, 2)
 
+    def test_non_integer_gap_rejected(self):
+        s = mixing.gen_finite_markov(P_LAZY, np.array([0.0, 1.0]), 2000, seed=1)
+        for q in (2.5, math.nan, [1, 2.5]):
+            with pytest.raises(ValueError, match="gap q must be an integer"):
+                mixing.estimate_beta_binning(s, q, 2)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("make", [
@@ -460,6 +466,89 @@ class TestMixingProfile:
         # NaN compares False both ways, so each check must fail on it
         with pytest.raises(ValueError, match="profile|coefficients"):
             mixing.MixingProfile(kind=mixing.ProfileKind(kind), **fields)
+
+
+PROFILE_KINDS = {
+    "exact_markov": markov_profile(P_LAZY, PI_LAZY),
+    "polynomial": mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL, exponent=0.5),
+    "exponential": mixing.MixingProfile(kind=mixing.ProfileKind.EXPONENTIAL, rate=0.3),
+    "tabulated": mixing.MixingProfile(kind=mixing.ProfileKind.TABULATED,
+                                      values=(1.0, 0.5, 0.25)),
+}
+
+
+class TestCoefficientGaps:
+    """One gap rule for every kind: an int gap or a 1-D grid of them."""
+
+    @pytest.mark.parametrize("kind", sorted(PROFILE_KINDS))
+    def test_non_integer_gap_rejected(self, kind):
+        for q in (math.nan, 2.5, [1, 2.5], True):
+            with pytest.raises(ValueError, match="gap q must be an integer >= 0"):
+                PROFILE_KINDS[kind].coefficient(q)
+
+    @pytest.mark.parametrize("kind", sorted(PROFILE_KINDS))
+    def test_grid_equals_scalar_calls(self, kind):
+        prof = PROFILE_KINDS[kind]
+        gaps = [7, 0, 2, 2, 40, 1, 3]
+        grid = prof.coefficient(gaps)
+        assert isinstance(grid, np.ndarray) and grid.dtype == float
+        assert grid.tolist() == [prof.coefficient(q) for q in gaps]
+        assert isinstance(prof.coefficient(np.int64(3)), float)
+        assert prof.coefficient([]).shape == (0,)
+
+
+def as_given(prof, transition, stationary):
+    """prof reading the caller's arrays in place, uncopied: the reference
+    for what the profile's own copies must not change."""
+    object.__setattr__(prof, "transition", transition)
+    object.__setattr__(prof, "stationary", stationary)
+    return prof
+
+
+class TestProfileOwnsItsArrays:
+    def test_mutated_input_leaves_beta_unchanged(self):
+        P = np.array([[0.9, 0.1], [0.2, 0.8]])
+        pi = mixing.stationary_distribution(P)
+        prof = markov_profile(P, pi)
+        before = prof.coefficient(np.arange(6))
+        pi[:] = [0.5, 0.5]
+        P[:] = np.eye(2)
+        assert np.array_equal(prof.coefficient(np.arange(6)), before)
+        values = np.array([1.0, 0.5, 0.25])
+        tab = mixing.MixingProfile(kind=mixing.ProfileKind.TABULATED, values=values)
+        values[1] = 0.0
+        assert tab.coefficient(1) == 0.5
+
+    def test_stored_arrays_read_only(self):
+        prof = markov_profile(P_LAZY, PI_LAZY)
+        tab = mixing.MixingProfile(kind=mixing.ProfileKind.TABULATED,
+                                   values=np.array([1.0, 0.5]))
+        for arr in (prof.transition, prof.stationary, tab.values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert P_LAZY.flags.writeable and PI_LAZY.flags.writeable
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 20, 70])
+    def test_layouts_keep_their_beta(self, m):
+        """Fortran-ordered and strided chains give the beta of their own
+        arrays read in place, bit for bit: the copies keep the memory order."""
+        P = random_chain(np.random.default_rng(m), m).transition
+        pi = mixing.stationary_distribution(P)
+        padded = np.zeros((3 * m, 2 * m))
+        padded[::3, 1:m + 1] = P
+        layouts = {"fortran": np.asfortranarray(P), "strided": padded[::3, 1:m + 1],
+                   "transposed": np.ascontiguousarray(P.T).T}
+        gaps = np.arange(130)
+        for name, t in layouts.items():
+            ref = mixing.exact_beta_markov(as_given(markov_profile(P, pi), t, pi), gaps)
+            assert np.array_equal(markov_profile(t, pi).coefficient(gaps), ref), name
+        # a strided pi is copied to a contiguous one, so beta does not depend
+        # on its stride
+        spaced = np.zeros(2 * m)
+        spaced[::2] = pi
+        assert np.array_equal(markov_profile(P, spaced[::2]).coefficient(gaps),
+                              markov_profile(P, pi).coefficient(gaps))
 
 
 class TestStationaryVectorChecked:
@@ -572,7 +661,8 @@ def matrix_power_beta(transition, stationary, q):
 
 
 class TestCoefficientsArray:
-    """coefficients(q_max) must equal the scalar sequence bit for bit."""
+    """coefficient on the grid 0..q_max must equal the scalar sequence bit
+    for bit."""
 
     @pytest.mark.parametrize("m", [2, 5, 20, 70])
     def test_exact_markov_bit_identical(self, m):
@@ -583,12 +673,12 @@ class TestCoefficientsArray:
         for prof in (random_chain(rng, m), random_chain(rng, m)):
             ref = [matrix_power_beta(prof.transition, prof.stationary, q)
                    for q in range(301)]
-            assert np.array_equal(prof.coefficients(300), ref)
+            assert np.array_equal(prof.coefficient(np.arange(301)), ref)
 
     def test_exact_markov_matches_exact_beta_markov(self):
         prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,
                                     transition=P_LAZY, stationary=PI_LAZY)
-        betas = prof.coefficients(40)
+        betas = prof.coefficient(np.arange(41))
         assert betas.shape == (41,)
         for q in (0, 1, 2, 3, 4, 7, 8, 31, 32, 40):
             assert betas[q] == mixing.exact_beta_markov(
@@ -606,7 +696,7 @@ class TestCoefficientsArray:
     ], ids=["poly", "poly_capped", "exp", "exp_capped"])
     def test_closed_forms_bit_identical(self, prof):
         for q_max in (0, 1, 3, 500):
-            assert np.array_equal(prof.coefficients(q_max),
+            assert np.array_equal(prof.coefficient(np.arange(q_max + 1)),
                                   scalar_coefficients(prof, q_max))
 
     def test_tabulated_bit_identical_beyond_table(self):
@@ -614,7 +704,7 @@ class TestCoefficientsArray:
                                           values=(0.9, 0.5, 0.25, 0.1)),
                      mixing.MixingProfile.iid()):
             for q_max in (0, 1, 2, 3, 4, 10):
-                assert np.array_equal(prof.coefficients(q_max),
+                assert np.array_equal(prof.coefficient(np.arange(q_max + 1)),
                                       scalar_coefficients(prof, q_max))
 
     def test_negative_q_max_rejected(self):
@@ -622,5 +712,6 @@ class TestCoefficientsArray:
         for prof in (random_chain(rng, 3), mixing.MixingProfile.iid(),
                      mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL),
                      mixing.MixingProfile(kind=mixing.ProfileKind.EXPONENTIAL)):
-            with pytest.raises(ValueError):
-                prof.coefficients(-1)
+            for q in (-1, [0, -1]):
+                with pytest.raises(ValueError):
+                    prof.coefficient(q)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixrate import rates
+from mixrate import mixing, rates
 from mixrate.classes import EntropyModel, entropy_eval
 from mixrate.empirical import slope_fit
 from mixrate.mixing import (MixingFlavor, MixingProfile, ProfileKind,
@@ -72,7 +72,8 @@ class TestLambdaPhiBeta:
         for r in (2.5, 4, 8.0):
             # the single-gap formula from before grids, one gap at a time
             p = 1.0 - 2.0 / r
-            frozen = [float(np.sum(profile.coefficients(g) ** p) / p) for g in gaps]
+            frozen = [float(np.sum(profile.coefficient(np.arange(g + 1)) ** p) / p)
+                      for g in gaps]
             grid = lambda_phi_beta(profile, gaps, r)
             assert isinstance(grid, np.ndarray) and grid.tolist() == frozen
             assert [lambda_phi_beta(profile, g, r) for g in gaps] == frozen
@@ -218,8 +219,8 @@ class TestTauQ:
         class NeverMixes:  # a corrupt profile: beta_q <= x never holds
             flavor = MixingFlavor.BETA
 
-            def coefficients(self, q_max):
-                return np.full(q_max + 1, math.nan)
+            def coefficient(self, q):
+                return np.full(np.shape(q), math.nan)
 
         with pytest.raises(ValueError, match="no admissible q"):
             tau_q(NeverMixes(), self.ENT, 0.5, n)
@@ -231,15 +232,32 @@ class TestTauQ:
             flavor = MixingFlavor.BETA
 
             def coefficient(self, q):
-                return 0.0 if q in (3, 8) else 1.0
-
-            def coefficients(self, q_max):
-                return np.array([self.coefficient(q) for q in range(q_max + 1)])
+                beta = np.where(np.isin(q, (3, 8)), 0.0, 1.0)
+                return float(beta) if np.ndim(q) == 0 else beta
 
         ent, n = EntropyModel(alpha=0.0, sigma=1.0, b=1.0), 10**6
         assert tau_q(Dips(), ent, 1.0, n) == 3
         assert frozen_tau_q(Dips(), ent, 1.0, n, "scan") == 3
         assert frozen_tau_q(Dips(), ent, 1.0, n, "bisect") == 8
+
+    def test_each_gap_computed_once(self, monkeypatch):
+        """The doubling search extends its beta array, so no gap reaches the
+        oracle twice."""
+        seen = []
+        oracle = mixing.exact_beta_markov
+
+        def counting(profile, q):
+            seen.extend(np.atleast_1d(q).tolist())
+            return oracle(profile, q)
+
+        monkeypatch.setattr(mixing, "exact_beta_markov", counting)
+        P = np.array([[0.99, 0.01], [0.02, 0.98]])
+        prof = MixingProfile(kind=ProfileKind.EXACT_MARKOV, transition=P,
+                             stationary=stationary_distribution(P))
+        tau = tau_q(prof, self.ENT, 0.5, 10**5)
+        assert tau > 64
+        assert sorted(seen) == list(range(max(seen) + 1))
+        assert max(seen) < 2 * tau
 
     def test_lambda_of_tau_non_decreasing_in_delta(self):
         prof = poly(0.7)
@@ -300,12 +318,11 @@ class _MemoCoefficients:
         self.profile, self.flavor, self.memo = profile, profile.flavor, {}
 
     def coefficient(self, q):
+        if np.ndim(q):  # a grid, as lambda_phi_beta reads it
+            return self.profile.coefficient(q)
         if q not in self.memo:
             self.memo[q] = self.profile.coefficient(q)
         return self.memo[q]
-
-    def coefficients(self, q_max):
-        return self.profile.coefficients(q_max)
 
 
 def frozen_main_bound(entropy, profile, n, r):
