@@ -60,24 +60,13 @@ def entropy_eval(model: EntropyModel, u: float) -> float:
 
 
 def lipschitz_compose(model: EntropyModel, L: float) -> EntropyModel:
-    """Entropy of the class composed with a monotone L-Lipschitz map: H(u/L)."""
+    """Entropy of the class composed with a monotone L-Lipschitz map, or
+    multiplied by a fixed function g with L = sup |g|: H(u/L)."""
     if L <= 0:
         raise ValueError("Lipschitz constant must be > 0")
     # H(u/L) = K D (L theta / u)^alpha (log(L B / u))^V on (0, L sigma]
     return replace(model, theta=model.theta * L, B=model.B * L,
                    sigma=model.sigma * L, b=max(model.b * L, model.sigma * L))
-
-
-def scalar_multiply(model: EntropyModel, g_sup: float) -> EntropyModel:
-    """Entropy of the class multiplied by a fixed function with sup norm g_sup."""
-    if g_sup <= 0:
-        raise ValueError("g_sup must be > 0")
-    return lipschitz_compose(model, g_sup)
-
-
-def positive_part(model: EntropyModel) -> EntropyModel:
-    """Entropy of the positive-part class: unchanged bound."""
-    return model
 
 
 @dataclass(frozen=True)

@@ -25,30 +25,10 @@ from .classes import uniform01_cdf
 
 OUTPUT_DIR_ENV = "MIXRATE_OUTPUT_DIR"
 
-# the params each generator requires, with their admissible ranges
-_DGP_PARAMS = {
-    "iid_uniform": {},
-    "renewal": {
-        "properties": {"tail_exponent": {"type": "number", "exclusiveMinimum": 0},
-                       "l_max": {"type": "integer", "minimum": 1}},
-        "required": ["tail_exponent"],
-    },
-    "ar1": {
-        "properties": {"a": {"type": "number", "exclusiveMinimum": -1,
-                             "exclusiveMaximum": 1}},
-        "required": ["a"],
-    },
-    "markov": {
-        "properties": {"transition": {"type": "array", "minItems": 1},
-                       "state_values": {"type": "array", "minItems": 1}},
-        "required": ["transition", "state_values"],
-    },
-}
-
 _DGP_SCHEMA = {
     "type": "object",
     "properties": {
-        "generator": {"enum": list(_DGP_PARAMS)},
+        "generator": {"enum": list(empirical._GENERATORS)},
         "params": {"type": "object"},
     },
     "required": ["generator"],
@@ -56,7 +36,7 @@ _DGP_SCHEMA = {
     "allOf": [
         {"if": {"properties": {"generator": {"const": gen}}},
          "then": {"properties": {"params": params}, "required": ["params"]}}
-        for gen, params in _DGP_PARAMS.items() if params
+        for gen, (_, params, _) in empirical._GENERATORS.items() if params
     ],
 }
 
@@ -341,18 +321,14 @@ def _cmd_verify(cfg: dict, outdir: Path) -> None:
         raise FloatingPointError(f"{failed} invariant checks failed")
 
 
-# the marginal law of each generator whose marginal is not Uniform[0, 1]
-_NON_UNIFORM_MARGINALS = {"ar1": "Gaussian N(0, 1/(1 - a^2))",
-                          "markov": "discrete (on state_values)"}
-
-
 def _check_semantics(command: str, cfg: dict) -> None:
     """Config faults the schemas cannot express; raises ValueError."""
     dgp = cfg.get("dgp", {})
     generator = dgp.get("generator")
-    if command == "simulate" and generator in _NON_UNIFORM_MARGINALS:
+    marginal = empirical._GENERATORS[generator][2] if generator else None
+    if command == "simulate" and marginal:
         raise ValueError(f"simulate centres at the Uniform[0, 1] CDF; generator {generator!r}"
-                         f" has a {_NON_UNIFORM_MARGINALS[generator]} marginal")
+                         f" has a {marginal} marginal")
     if generator == "markov":
         mixing._check_markov_config(dgp["params"]["transition"],
                                     dgp["params"]["state_values"])

@@ -20,34 +20,38 @@ _STATISTICS = {"ks": sup_halflines, "monotone": sup_monotone01,
 # are VC (alpha 0); monotone and 1-Lipschitz functions on [0, 1] have alpha 1
 _ENTROPY_EXPONENTS = {"ks": 0, "monotone": 1, "w1": 1}
 
+# generator name -> (draw (params, n, seed) -> SequenceSample, JSON schema of
+# its params, marginal law if not Uniform[0, 1]).  A draw looks its mixing
+# function up when it runs: perfbench's tracer rebinds module attributes, and
+# a function object kept in a tuple would run untraced
+_GENERATORS = {
+    "iid_uniform": (lambda p, n, seed: mixing.gen_iid_uniform(n, seed), {}, None),
+    "renewal": (
+        lambda p, n, seed: mixing.gen_renewal_chain(
+            p["tail_exponent"], p.get("l_max", 10_000), n, seed),
+        {"properties": {"tail_exponent": {"type": "number", "exclusiveMinimum": 0},
+                        "l_max": {"type": "integer", "minimum": 1}},
+         "required": ["tail_exponent"]}, None),
+    "ar1": (
+        lambda p, n, seed: mixing.gen_ar1(p["a"], n, seed),
+        {"properties": {"a": {"type": "number", "exclusiveMinimum": -1,
+                              "exclusiveMaximum": 1}},
+         "required": ["a"]}, "Gaussian N(0, 1/(1 - a^2))"),
+    "markov": (
+        lambda p, n, seed: mixing.gen_finite_markov(
+            p["transition"], p["state_values"], n, seed),
+        {"properties": {"transition": {"type": "array", "minItems": 1},
+                        "state_values": {"type": "array", "minItems": 1}},
+         "required": ["transition", "state_values"]}, "discrete (on state_values)"),
+}
+
 
 def generate(dgp_cfg: dict, n: int, seed: int) -> mixing.SequenceSample:
     """Dispatch a DGP configuration {generator, params} to its generator."""
     gen = dgp_cfg["generator"]
-    params = dict(dgp_cfg.get("params", {}))
-    if gen == "iid_uniform":
-        return mixing.gen_iid_uniform(n, seed)
-    if gen == "renewal":
-        return mixing.gen_renewal_chain(params["tail_exponent"],
-                                        params.get("l_max", 10_000), n, seed)
-    if gen == "ar1":
-        return mixing.gen_ar1(params["a"], n, seed)
-    if gen == "markov":
-        return mixing.gen_finite_markov(params["transition"],
-                                        params["state_values"], n, seed)
-    raise ValueError(f"unknown generator {gen!r}")
-
-
-def gn_stat(sample: mixing.SequenceSample, statistic: str,
-            cdf_oracle: CdfOracle) -> float:
-    """Exact sqrt(n)-scaled centered supremum via the class oracles."""
-    if cdf_oracle is None:
-        raise ValueError("a CDF oracle for the marginal law is required")
-    try:
-        fn = _STATISTICS[statistic]
-    except KeyError:
-        raise ValueError(f"unknown statistic {statistic!r}") from None
-    return fn(sample.values, cdf_oracle)
+    if gen not in _GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
+    return _GENERATORS[gen][0](dgp_cfg.get("params", {}), n, seed)
 
 
 def pairwise_sum(x: np.ndarray) -> float:
@@ -85,13 +89,17 @@ def mc_sup_expectation(dgp_cfg: dict, statistic: str, n: int,
     """
     if replications < 30:
         raise ValueError("need at least 30 replications")
+    if statistic not in _STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if cdf_oracle is None:
+        raise ValueError("a CDF oracle for the marginal law is required")
     vals = np.empty(replications)
     for r in range(replications):
         try:
             sample = generate(dgp_cfg, n, base_seed + r)
         except Exception as exc:
             raise RuntimeError(f"generator failed at replica {r}: {exc}") from exc
-        vals[r] = gn_stat(sample, statistic, cdf_oracle)
+        vals[r] = _STATISTICS[statistic](sample.values, cdf_oracle)
     return pairwise_sum(vals) / replications, jackknife_se(vals)
 
 
@@ -114,9 +122,10 @@ class SlopeFit:
 
 def slope_fit(pairs, standard_errors=None) -> SlopeFit:
     """Ordinary least squares on (log n, log estimate)."""
-    pairs = sorted(pairs)
-    n_grid = np.array([p[0] for p in pairs], dtype=float)
-    est = np.array([p[1] for p in pairs], dtype=float)
+    pairs = list(pairs)
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    n_grid = np.array([pairs[i][0] for i in order], dtype=float)
+    est = np.array([pairs[i][1] for i in order], dtype=float)
     if np.any(est <= 0):
         raise ValueError("estimates must be positive")
     x, y = np.log(n_grid), np.log(est)
@@ -130,7 +139,7 @@ def slope_fit(pairs, standard_errors=None) -> SlopeFit:
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.dot(resid, resid)) / ss_tot
     se = (np.zeros(k) if standard_errors is None
-          else np.asarray(standard_errors, dtype=float))
+          else np.asarray(standard_errors, dtype=float)[order])
     return SlopeFit(n_grid, est, se, slope, max(slope_se, 1e-15), intercept, r2)
 
 
@@ -237,20 +246,6 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
 # Isotonic ERM demonstration
 
 
-def pava_isotonic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators: exact minimizer of sum (y_i - f_i)^2 over
-    non-decreasing f at sorted abscissae x."""
-    from scipy.optimize import isotonic_regression
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise ValueError("x and y must have equal length")
-    if np.any(np.diff(x) < 0):
-        raise ValueError("x must be sorted")
-    return isotonic_regression(y).x
-
-
 def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,
                    base_seed: int = 0) -> SlopeFit:
     """Mean squared error of the isotonic least-squares fit of a monotone
@@ -259,6 +254,8 @@ def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,
     The design is x_i = i/(n+1); keeping the noise in its generation order
     preserves its serial dependence in the regression residuals.
     """
+    from scipy.optimize import isotonic_regression
+
     points = []
     ses = []
     for idx, n in enumerate(n_grid):
@@ -268,7 +265,7 @@ def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,
         for rep in range(replications):
             sample = generate(noise_cfg, n, base_seed + 1000 * idx + rep)
             noise = sample.values - np.mean(sample.values)
-            fit = pava_isotonic(x, target + noise)
+            fit = isotonic_regression(target + noise).x
             errs[rep] = float(np.mean((fit - target) ** 2))
         points.append((n, max(pairwise_sum(errs) / replications, 1e-300)))
         ses.append(jackknife_se(errs))

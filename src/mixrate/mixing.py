@@ -91,7 +91,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     return pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingProfile:
     """Model of a mixing-coefficient sequence q -> coefficient(q) in [0,1].
 
@@ -167,7 +167,7 @@ class MixingProfile:
         return MixingProfile(kind=ProfileKind.TABULATED, values=np.array([1.0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceSample:
     """Realized stationary sequence and, where known, its mixing profile."""
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from mixrate import classes
 from mixrate.classes import (EntropyModel, SumEntropy, discrete_cdf,
                              entropy_eval, gaussian_cdf, lipschitz_compose,
-                             positive_part, scalar_multiply, sup_halflines,
-                             sup_lipschitz_w1, sup_monotone01, uniform01_cdf)
+                             sup_halflines, sup_lipschitz_w1, sup_monotone01,
+                             uniform01_cdf)
 
 
 class TestEntropyEval:
@@ -70,13 +70,9 @@ class TestEntropyCalculus:
         for d in np.geomspace(0.01, 1.0, 20):
             assert ab(d) == pytest.approx(ba(d))
 
-    def test_positive_part_unchanged(self):
-        m = EntropyModel(alpha=1.0)
-        assert positive_part(m) == m
-
     def test_scalar_multiply(self):
         m = EntropyModel(alpha=1.0, V=0.0, sigma=1.0, b=1.0)
-        out = scalar_multiply(m, 2.0)
+        out = lipschitz_compose(m, 2.0)
         assert entropy_eval(out, 0.5) == pytest.approx(entropy_eval(m, 0.25))
 
     def test_invalid_parameters(self):

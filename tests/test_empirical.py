@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import isotonic_regression
 
 from mixrate import empirical, mixing
-from mixrate.classes import uniform01_cdf
-from mixrate.empirical import (erm_risk_curve, gn_stat, jackknife_se,
-                               mc_sup_expectation, orlicz_norm_finite,
-                               pairwise_sum, pava_isotonic, slope_fit,
+from mixrate.classes import (sup_halflines, sup_lipschitz_w1, sup_monotone01,
+                             uniform01_cdf)
+from mixrate.empirical import (erm_risk_curve, jackknife_se, mc_sup_expectation,
+                               orlicz_norm_finite, pairwise_sum, slope_fit,
                                verify_variance_bound)
 from mixrate.rates import c_phi
 
@@ -77,24 +78,24 @@ def make_sample(values):
 
 class TestGnStat:
     def test_single_point_median_ks(self):
-        assert gn_stat(make_sample([0.5]), "ks", ORACLE) == pytest.approx(0.5)
+        assert sup_halflines(make_sample([0.5]).values, ORACLE) == pytest.approx(0.5)
 
     def test_w1_quantile_grid_scaling(self):
         n = 99
         s = make_sample(np.arange(1, n + 1) / (n + 1))
-        assert gn_stat(s, "w1", ORACLE) <= math.sqrt(n) * 2.0 / n
+        assert sup_lipschitz_w1(s.values, ORACLE) <= math.sqrt(n) * 2.0 / n
 
     def test_ks_equals_monotone(self):
         rng = np.random.default_rng(3)
         s = make_sample(rng.random(40))
-        assert gn_stat(s, "ks", ORACLE) == pytest.approx(
-            gn_stat(s, "monotone", ORACLE), abs=1e-12)
+        assert sup_halflines(s.values, ORACLE) == pytest.approx(
+            sup_monotone01(s.values, ORACLE), abs=1e-12)
 
     def test_missing_oracle(self):
         with pytest.raises(ValueError):
-            gn_stat(make_sample([0.5]), "ks", None)
+            mc_sup_expectation(IID_CFG, "ks", 50, 30, 0, None)
         with pytest.raises(ValueError):
-            gn_stat(make_sample([0.5]), "nope", ORACLE)
+            mc_sup_expectation(IID_CFG, "nope", 50, 30, 0, ORACLE)
 
 
 class TestMcSupExpectation:
@@ -131,6 +132,18 @@ class TestMcSupExpectation:
         a = mc_sup_expectation(IID_CFG, "ks", 200, 30, 5, ORACLE)
         b = mc_sup_expectation(IID_CFG, "ks", 200, 30, 5, ORACLE)
         assert a == b
+
+    @pytest.mark.parametrize("statistic, oracle", [("nope", ORACLE), ("ks", None)],
+                             ids=["unknown_statistic", "no_oracle"])
+    def test_bad_statistic_or_oracle_rejected_before_any_replica(
+            self, monkeypatch, statistic, oracle):
+        calls = []
+        real = empirical.generate
+        monkeypatch.setattr(empirical, "generate",
+                            lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValueError):
+            mc_sup_expectation(IID_CFG, statistic, 50, 30, 0, oracle)
+        assert calls == []
 
 
 class TestReduction:
@@ -171,6 +184,13 @@ class TestSlopeFit:
         pairs = [(n, 3.0 * n**0.4 * math.exp(rng.normal(0, 0.05)))
                  for n in ns]
         assert slope_fit(pairs).slope == pytest.approx(0.4, abs=0.03)
+
+    def test_standard_errors_follow_their_n(self):
+        fit = slope_fit([(4096, 2.0), (1024, 1.0), (2048, 1.5), (8192, 3.0)],
+                        [0.04, 0.01, 0.02, 0.08])
+        assert fit.n_grid.tolist() == [1024, 2048, 4096, 8192]
+        assert fit.estimates.tolist() == [1.0, 1.5, 2.0, 3.0]
+        assert fit.standard_errors.tolist() == [0.01, 0.02, 0.04, 0.08]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -392,24 +412,24 @@ class TestPavaIsotonic:
             y = rng.normal(size=n) + rng.uniform(-0.05, 0.05) * np.arange(n)
             if rng.random() < 0.3:
                 y = np.round(y, 1)  # ties
-            out = pava_isotonic(np.arange(float(n)), y)
+            out = isotonic_regression(y).x
             assert out.shape == (n,)
             np.testing.assert_allclose(out, frozen_stack_pava(y),
                                        rtol=1e-12, atol=1e-12)
 
     def test_already_monotone_unchanged(self):
         y = np.array([0.0, 0.5, 0.5, 2.0])
-        out = pava_isotonic(np.arange(4.0), y)
+        out = isotonic_regression(y).x
         assert np.allclose(out, y)
 
     def test_two_point_pooling(self):
-        out = pava_isotonic(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        out = isotonic_regression(np.array([1.0, 0.0])).x
         assert np.allclose(out, [0.5, 0.5])
 
     def test_optimality_against_random_candidates(self):
         rng = np.random.default_rng(4)
         y = rng.normal(size=30)
-        fit = pava_isotonic(np.arange(30.0), y)
+        fit = isotonic_regression(y).x
         fit_sse = np.sum((y - fit) ** 2)
         for _ in range(1000):
             cand = np.cumsum(rng.random(30)) * rng.random() + rng.normal()
@@ -417,12 +437,8 @@ class TestPavaIsotonic:
 
     def test_output_monotone(self):
         rng = np.random.default_rng(5)
-        out = pava_isotonic(np.arange(100.0), rng.normal(size=100))
+        out = isotonic_regression(rng.normal(size=100)).x
         assert np.all(np.diff(out) >= -1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pava_isotonic(np.arange(3.0), np.arange(4.0))
 
 
 class TestErmRiskCurve:

@@ -468,6 +468,21 @@ class TestMixingProfile:
             mixing.MixingProfile(kind=mixing.ProfileKind(kind), **fields)
 
 
+class TestIdentityIsEquality:
+    """Array-holding dataclasses compare and hash by identity."""
+
+    def test_equal_content_profiles_unequal_and_hashable(self):
+        a, b = (mixing.MixingProfile(kind=mixing.ProfileKind.TABULATED,
+                                     values=[1.0, 0.5]) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_equal_content_samples_unequal_and_hashable(self):
+        a, b = mixing.gen_iid_uniform(5, 0), mixing.gen_iid_uniform(5, 0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 PROFILE_KINDS = {
     "exact_markov": markov_profile(P_LAZY, PI_LAZY),
     "polynomial": mixing.MixingProfile(kind=mixing.ProfileKind.POLYNOMIAL, exponent=0.5),
