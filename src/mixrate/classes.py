@@ -69,22 +69,6 @@ def lipschitz_compose(model: EntropyModel, L: float) -> EntropyModel:
                    sigma=model.sigma * L, b=max(model.b * L, model.sigma * L))
 
 
-@dataclass(frozen=True)
-class SumEntropy:
-    """Entropy bound for a sum class: H1(u/2) + H2(u/2)."""
-
-    left: EntropyModel
-    right: EntropyModel
-
-    @property
-    def sigma(self) -> float:
-        return self.left.sigma + self.right.sigma
-
-    def __call__(self, u: float) -> float:
-        return (entropy_eval(self.left, min(u / 2, self.left.sigma))
-                + entropy_eval(self.right, min(u / 2, self.right.sigma)))
-
-
 # ---------------------------------------------------------------------------
 # CDF oracles
 
@@ -94,9 +78,10 @@ class CdfOracle:
     """Exact marginal CDF with quantile and integrated-CDF access.
 
     All three callables work elementwise on arrays (and on scalars).
-    ``cdf_integral`` is an antiderivative of the CDF (any constant), used
+    ``cdf_antideriv`` is an antiderivative of the CDF (any constant), used
     for the exact piecewise W1 integral.  ``support`` bounds the support;
-    unbounded support is allowed for the KS oracle but not for W1.
+    unbounded support is allowed for the KS oracle but not for W1.  The KS
+    and monotone oracles are exact only for a continuous CDF.
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
@@ -115,48 +100,13 @@ def uniform01_cdf() -> CdfOracle:
     )
 
 
-def gaussian_cdf() -> CdfOracle:
-    from scipy.stats import norm
-    return CdfOracle(
-        cdf=lambda x: norm.cdf(x),
-        quantile=lambda u: norm.ppf(u),
-        cdf_antideriv=lambda x: x * norm.cdf(x) + norm.pdf(x),
-        support=(-math.inf, math.inf),
-    )
-
-
-def discrete_cdf(atoms: Sequence[float]) -> CdfOracle:
-    """CDF oracle of the uniform distribution on a finite multiset of atoms."""
-    a = np.sort(np.asarray(atoms, dtype=float))
-    n = len(a)
-    if n == 0:
-        raise ValueError("need at least one atom")
-    # prefix[k] is the sum of the k smallest atoms
-    prefix = np.concatenate(([0.0], np.cumsum(a)))
-
-    def cdf(x):
-        return np.searchsorted(a, np.asarray(x, dtype=float), side="right") / n
-
-    def quantile(u):
-        i = np.clip(np.ceil(np.asarray(u, dtype=float) * n).astype(np.int64) - 1, 0, n - 1)
-        return a[i]
-
-    def antideriv(x):
-        # integral of the step CDF from a[0] to x
-        x = np.asarray(x, dtype=float)
-        below = np.searchsorted(a, x, side="right")
-        return (x * below - prefix[below]) / n
-
-    return CdfOracle(cdf=cdf, quantile=quantile, cdf_antideriv=antideriv,
-                     support=(float(a[0]), float(a[-1])))
-
-
 # ---------------------------------------------------------------------------
 # Exact supremum oracles
 
 
 def sup_halflines(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:
-    """sqrt(n) * Kolmogorov-Smirnov statistic, exact at both one-sided limits."""
+    """sqrt(n) * Kolmogorov-Smirnov statistic, exact only for a continuous
+    F: D- reads F(x) where an atom at x needs the left limit F(x-)."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
     if n == 0:
@@ -172,7 +122,8 @@ def sup_monotone01(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:
 
     Extreme points of the class are upper-set indicators, so the value is
     sqrt(n) * max(sup_t (P_n - P)[t, inf), sup_t (P - P_n)[t, inf)), which
-    coincides with the half-line supremum by complement symmetry.
+    coincides with the half-line supremum by complement symmetry.  Like
+    ``sup_halflines``, it is exact only for a continuous F.
     """
     # a function of its own rather than an alias: perfbench's tracer keys
     # each function object by one public name
@@ -183,8 +134,7 @@ def sup_lipschitz_w1(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:
     """sqrt(n) * integral |F_n - F|, exact piecewise between order statistics.
 
     This is the centered supremum over 1-Lipschitz functions on the line
-    by Kantorovich-Rubinstein duality.  Requires a bounded-support oracle
-    (or one whose antiderivative handles the tails).
+    by Kantorovich-Rubinstein duality.  Requires a bounded-support oracle.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)

@@ -85,7 +85,7 @@ SCHEMAS = {
             "n_grid": {"type": "array", "minItems": 4, "uniqueItems": True,
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 30},
-            "base_seed": {"type": "integer"},
+            "base_seed": {"type": "integer", "minimum": 0},
             "tolerance": {"type": "number", "minimum": 0},
         },
         "required": ["dgp", "statistic", "n_grid", "replications", "base_seed"],
@@ -99,7 +99,7 @@ SCHEMAS = {
             "q_grid": {"type": "array", "minItems": 1,
                        "items": {"type": "integer", "minimum": 1}},
             "m_bins": {"type": "integer", "minimum": 2},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
         "required": ["dgp", "n", "q_grid", "m_bins", "seed"],
         "additionalProperties": False,
@@ -113,7 +113,7 @@ SCHEMAS = {
             "n_grid": {"type": "array", "minItems": 4, "uniqueItems": True,
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 1},
-            "base_seed": {"type": "integer"},
+            "base_seed": {"type": "integer", "minimum": 0},
             "eps_override": {"type": "number", "exclusiveMinimum": 0},
             "k_override": {"type": "integer", "minimum": 1},
         },
@@ -122,7 +122,7 @@ SCHEMAS = {
     },
     "verify": {
         "type": "object",
-        "properties": {"seed": {"type": "integer"}},
+        "properties": {"seed": {"type": "integer", "minimum": 0}},
         "additionalProperties": False,
     },
 }

@@ -268,6 +268,16 @@ class TestSemanticConfigFaults:
                                 "params": {"transition": [[math.nan, math.nan], [0.5, 0.5]],
                                            "state_values": [0.2, 0.8]}},
                         "n": 5000, "q_grid": [1, 5], "m_bins": 2, "seed": 3}),
+        # seeds are integers >= 0: numpy's generators reject a negative one
+        ("verify", {"seed": -1}),
+        ("mixing-est", {"dgp": {"generator": "iid_uniform"},
+                        "n": 1000, "q_grid": [1, 5], "m_bins": 2, "seed": -3}),
+        ("simulate", {"dgp": {"generator": "iid_uniform"}, "statistic": "ks",
+                      "n_grid": [64, 128, 256, 512], "replications": 30,
+                      "base_seed": -3}),
+        ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
+                      "n_grid": [16, 24, 32, 48], "replications": 1,
+                      "base_seed": -3, "k_override": 20}),
     ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
             "too_few_observations_for_bins", "gap_not_below_half_n",
             "beta_at_regime_boundary", "r_not_a_number", "r_not_above_2",
@@ -275,7 +285,9 @@ class TestSemanticConfigFaults:
             "simulate_repeated_n", "ot_bench_repeated_n", "empty_q_grid",
             "rates_nan_beta", "rates_infinite_beta", "rates_infinity_literal_r",
             "phase_nan_beta", "simulate_nan_tail_exponent",
-            "mixing_est_nan_transition"])
+            "mixing_est_nan_transition", "verify_negative_seed",
+            "mixing_est_negative_seed", "simulate_negative_base_seed",
+            "ot_bench_negative_base_seed"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
         cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
         out = tmp_path / "o"
@@ -388,7 +400,10 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("command,config,results", [
     ("verify", None, ["verify.json"]),
-    ("phase", CONFIGS / "phase_default.json", ["phase.csv", "phase.svg"])])
+    ("phase", CONFIGS / "phase_default.json", ["phase.csv", "phase.svg"]),
+    ("simulate", CONFIGS / "simulate_shortrange.json",
+     ["simulate.csv", "simulate.svg", "summary.json"]),
+    ("mixing-est", CONFIGS / "mixing_est_markov.json", ["mixing_est.csv"])])
 def test_rerun_in_one_process_is_byte_identical(tmp_path, command, config, results):
     """A second run in the same process writes the same bytes."""
     args = [command] + ([] if config is None else ["--config", str(config)])
