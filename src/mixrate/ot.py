@@ -1,16 +1,19 @@
-"""Entropic optimal-transport estimators: log-domain Sinkhorn iterates,
-the debiased Sinkhorn divergence, an exact squared-Wasserstein baseline via
-an assignment solver (column-reduction warm start plus shortest augmenting
+"""Entropic optimal-transport estimators: Sinkhorn iterates, the debiased
+Sinkhorn divergence, an exact squared-Wasserstein baseline via an
+assignment solver (column-reduction warm start plus shortest augmenting
 paths with lazy duals: Jonker & Volgenant 1987, Crouse 2016), and the
 comparison harness.
 
-The transport path uses numpy only: the log-sum-exp is an in-place,
-max-shifted reduction, and importing this module loads no scipy module."""
+The transport path uses numpy only, and importing this module loads no
+scipy module. A Sinkhorn iterate is two matrix-vector products with the
+Gibbs kernel exp(-C/eps) when no entry of it underflows, and otherwise an
+in-place, max-shifted log-sum-exp over the cost matrix."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -51,39 +54,67 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log(a.sum(axis=axis)) + amax.squeeze(axis)
 
 
+# Largest max(C)/eps for which SinkhornState.init stores the Gibbs kernel.
+# Every entry of K is then at least e^-500, so each max-shifted row or column
+# sum of the kernel iterate is a normal double; beyond it, e^(-C/eps) would
+# underflow and the iterate stays in the log domain.
+_GIBBS_MAX_RATIO = 500.0
+
+
 @dataclass(frozen=True)
 class SinkhornState:
     """Dual potentials for entropic transport between two point clouds.
 
-    ``v`` starts at zero; ``k`` counts completed (u, v) update pairs.
+    ``v`` starts at zero; ``k`` counts completed (u, v) update pairs. The
+    state holds one (m, n) array, ``cost``: the pairwise squared distances
+    C when ``gibbs`` is false, or the Gibbs kernel K = exp(-C/eps) when it
+    is true (Cuturi, NeurIPS 2013). ``init`` stores K whenever
+    max(C)/eps <= 500, so that no entry of K underflows, and C otherwise
+    (the log-domain case that Schmitzer, arXiv:1610.06519, stabilises).
     """
 
     u: np.ndarray
     v: np.ndarray
     eps: float
     k: int
-    cost: np.ndarray  # pairwise squared distances, shape (m, n)
+    cost: np.ndarray  # C (log domain) or K = exp(-C/eps) (gibbs), shape (m, n)
+    gibbs: bool
 
     @classmethod
     def init(cls, X, Y, eps: float) -> "SinkhornState":
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError("eps must be finite and > 0")
         cost = _sq_dists(X, Y)
         m, n = cost.shape
         if m == 0 or n == 0:
             raise ValueError("empty cloud")
-        return cls(u=np.zeros(m), v=np.zeros(n), eps=eps, k=0, cost=cost)
+        gibbs = float(cost.max()) / eps <= _GIBBS_MAX_RATIO  # False on nan
+        if gibbs:  # K overwrites C, so the state never holds both
+            cost /= -eps
+            np.exp(cost, out=cost)
+        return cls(u=np.zeros(m), v=np.zeros(n), eps=eps, k=0, cost=cost,
+                   gibbs=gibbs)
 
 
 def sinkhorn_iterate(state: SinkhornState) -> SinkhornState:
-    """One full iterate: u from v, then v from the new u, in the log domain.
+    """One full iterate: u from v, then v from the new u.
 
     u_i = -eps log( n^{-1} sum_j exp((v_j - c_ij)/eps) ) and symmetrically
-    for v with m^{-1}; log-sum-exp is max-shifted so iterates stay finite.
-    Both half-steps share one (m, n) work array.
+    for v with m^{-1}. On a Gibbs state the sum is K @ e^{v/eps - s} with
+    s = max(v/eps), two matrix-vector products that allocate no (m, n)
+    array. In the log domain the log-sum-exp is max-shifted so iterates
+    stay finite, and both half-steps share one (m, n) work array.
     """
     eps, cost = state.eps, state.cost
     m, n = cost.shape
+    if state.gibbs:
+        a = state.v / eps
+        s = a.max()
+        u = -eps * (np.log(cost @ np.exp(a - s)) + s - math.log(n))
+        a = u / eps
+        s = a.max()
+        v = -eps * (np.log(np.exp(a - s) @ cost) + s - math.log(m))
+        return replace(state, u=u, v=v, k=state.k + 1)
     work = np.subtract(state.v[None, :], cost)
     work /= eps
     u = -eps * (_logsumexp_inplace(work, axis=1) - math.log(n))
@@ -96,8 +127,8 @@ def sinkhorn_iterate(state: SinkhornState) -> SinkhornState:
 def t_eps_k(X, Y, eps: float, k: int) -> float:
     """Entropic transport cost after k Sinkhorn iterations: the dual value
     m^{-1} sum u + n^{-1} sum v."""
-    if k < 1:
-        raise ValueError("need k >= 1")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError("k must be an integer >= 1")
     state = SinkhornState.init(X, Y, eps)
     for _ in range(k):
         state = sinkhorn_iterate(state)

@@ -292,8 +292,12 @@ def test_criterion_10_application_exponent_table():
 
 
 @pytest.mark.xfail(strict=False,
-                   reason="runtime-shape separation needs sizes beyond this "
-                          "harness; measured exponents reported for the record")
+                   reason="at d = 4 the fast schedule runs ceil(n^(3/d)) "
+                          "Sinkhorn iterates of O(n^2) each, so the entropic "
+                          "runtime exponent tends to 2 + 3/d = 2.75; sitting "
+                          "0.2 below the exact solver's would need an exact "
+                          "exponent above 2.95, and it measures below 2. "
+                          "Measured exponents are reported for the record")
 def test_criterion_11_transport_runtime_shape_advisory():
     rep = ot.compare_estimators({"generator": "iid_uniform"}, 4, 3.0,
                                 [2**k for k in range(7, 11)],

@@ -1,4 +1,5 @@
 import copy
+import csv
 import filecmp
 import json
 import math
@@ -412,6 +413,20 @@ def test_rerun_in_one_process_is_byte_identical(tmp_path, command, config, resul
     for name in results:
         assert filecmp.cmp(tmp_path / "first" / name, tmp_path / "second" / name,
                            shallow=False), name
+
+
+def test_ot_bench_rerun_repeats_every_deterministic_column(tmp_path):
+    """A second ot-bench run writes the same estimates and schedule; only the
+    wall-clock columns may differ."""
+    kept = ["n", "exact_w2", "sinkhorn_div", "k_n", "eps_n"]
+    columns = []
+    for out in ("first", "second"):
+        assert main(["ot-bench", "--config", str(CONFIGS / "ot_bench_small.json"),
+                     "--output-dir", str(tmp_path / out)]) == 0
+        with open(tmp_path / out / "ot_bench.csv", newline="") as f:
+            columns.append([[row[k] for k in kept] for row in csv.DictReader(f)])
+    assert len(columns[0]) == 4
+    assert columns[0] == columns[1]
 
 
 class TestOutputDirEnv:

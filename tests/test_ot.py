@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 import mixrate
-from mixrate.ot import (SinkhornState, _logsumexp_inplace, _sq_dists,
-                        compare_estimators, exact_w2, gen_cloud,
+from mixrate.ot import (_GIBBS_MAX_RATIO, SinkhornState, _logsumexp_inplace,
+                        _sq_dists, compare_estimators, exact_w2, gen_cloud,
                         sinkhorn_divergence, sinkhorn_iterate,
                         solve_assignment, t_eps_k)
 
@@ -94,7 +95,7 @@ class TestSinkhornIterates:
         rng = np.random.default_rng(1)
         X, Y = rng.random((5, 2)), rng.random((5, 2))
         s = SinkhornState.init(X, Y, 0.3)
-        shifted = SinkhornState(u=s.u, v=s.v + 1.7, eps=s.eps, k=0, cost=s.cost)
+        shifted = replace(s, v=s.v + 1.7, k=0)
         a, b = sinkhorn_iterate(s), sinkhorn_iterate(shifted)
         assert np.allclose(a.u - a.u.mean(), b.u - b.u.mean(), atol=1e-12)
 
@@ -111,16 +112,38 @@ class TestSinkhornIterates:
         with pytest.raises(ValueError):
             t_eps_k(X, X, 1.0, 0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        X, Y = np.array([[0.0], [1.0]]), np.array([[0.5], [2.0]])
+        with pytest.raises(ValueError, match="eps"):
+            SinkhornState.init(X, Y, eps)
+        with pytest.raises(ValueError, match="eps"):
+            t_eps_k(X, Y, eps, 3)
+        with pytest.raises(ValueError, match="eps"):
+            sinkhorn_divergence(X, Y, eps, 3)
+
+    @pytest.mark.parametrize("k", [True, 2.5, 3.0, "3"])
+    def test_non_integer_k_rejected(self, k):
+        X, Y = np.array([[0.0], [1.0]]), np.array([[0.5], [2.0]])
+        with pytest.raises(ValueError, match="integer"):
+            t_eps_k(X, Y, 0.5, k)
+        with pytest.raises(ValueError, match="integer"):
+            sinkhorn_divergence(X, Y, 0.5, k)
+
+    def test_numpy_integer_k_accepted(self):
+        X, Y = np.array([[0.0], [1.0]]), np.array([[0.5], [2.0]])
+        assert t_eps_k(X, Y, 0.5, np.int64(3)) == t_eps_k(X, Y, 0.5, 3)
+
     def test_overflow_audit_large_diameter_small_eps(self):
         X = np.array([[0.0], [1000.0]])
         Y = np.array([[500.0], [1500.0]])
         assert math.isfinite(t_eps_k(X, Y, 1e-4, 50))
 
 
-def scipy_sinkhorn_iterate(state):
-    """The iterate written with scipy's log-sum-exp: the reference for the
-    in-place numpy version."""
-    eps, cost = state.eps, state.cost
+def scipy_sinkhorn_iterate(state, cost):
+    """The iterate written with scipy's log-sum-exp on the squared-distance
+    matrix ``cost``: the reference for both domains of the numpy version."""
+    eps = state.eps
     m, n = cost.shape
     u = -eps * (logsumexp((state.v[None, :] - cost) / eps, axis=1)
                 - math.log(n))
@@ -156,12 +179,79 @@ class TestNumpyLogSumExp:
         rng = np.random.default_rng(13)
         X, Y = rng.random((40, 3)), rng.random((55, 3))
         ours = ref = SinkhornState.init(X, Y, eps)
+        cost = _sq_dists(X, Y)
         for _ in range(50):
-            ours, ref = sinkhorn_iterate(ours), scipy_sinkhorn_iterate(ref)
+            ours, ref = sinkhorn_iterate(ours), scipy_sinkhorn_iterate(ref, cost)
         assert ours.k == ref.k == 50
         scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.v)))
         assert np.max(np.abs(ours.u - ref.u)) <= 1e-12 * scale
         assert np.max(np.abs(ours.v - ref.v)) <= 1e-12 * scale
+
+
+def log_domain_state(X, Y, eps):
+    """A state that keeps the squared distances and runs the log-domain
+    iterate, whatever max(C)/eps is."""
+    cost = _sq_dists(X, Y)
+    m, n = cost.shape
+    return SinkhornState(u=np.zeros(m), v=np.zeros(n), eps=eps, k=0,
+                         cost=cost, gibbs=False)
+
+
+class TestGibbsKernelIterate:
+    @pytest.mark.parametrize("eps", [2.0, 0.3, 0.05, 0.01])
+    def test_fifty_iterates_match_log_domain(self, eps):
+        rng = np.random.default_rng(14)
+        X, Y = rng.random((40, 3)), rng.random((55, 3))
+        gibbs, ref = SinkhornState.init(X, Y, eps), log_domain_state(X, Y, eps)
+        assert gibbs.gibbs and not ref.gibbs
+        for _ in range(50):
+            gibbs, ref = sinkhorn_iterate(gibbs), sinkhorn_iterate(ref)
+        assert gibbs.k == ref.k == 50
+        scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.v)))
+        assert np.max(np.abs(gibbs.u - ref.u)) <= 1e-12 * scale
+        assert np.max(np.abs(gibbs.v - ref.v)) <= 1e-12 * scale
+
+    def test_state_holds_the_kernel(self):
+        rng = np.random.default_rng(15)
+        X, Y = rng.random((7, 2)), rng.random((9, 2))
+        s = SinkhornState.init(X, Y, 0.2)
+        assert s.gibbs
+        assert np.array_equal(s.cost, np.exp(_sq_dists(X, Y) / -0.2))
+
+    def test_domain_switches_at_the_bound(self):
+        # one cost of exactly 125 = 10^2 + 5^2, so max(C)/eps = 500 at 0.25
+        X, Y = np.array([[0.0, 0.0]]), np.array([[10.0, 5.0]])
+        assert 125.0 / 0.25 == _GIBBS_MAX_RATIO
+        assert SinkhornState.init(X, Y, 0.25).gibbs
+        past = np.nextafter(0.25, 0.0)
+        s = SinkhornState.init(X, Y, past)
+        assert not s.gibbs and s.cost[0, 0] == 125.0
+        assert t_eps_k(X, Y, past, 3) == pytest.approx(125.0)
+
+    # NaN and inf costs, and a max(C)/eps that overflows to inf
+    @pytest.mark.parametrize("x,eps", [(np.nan, 0.5), (np.inf, 0.5),
+                                       (0.0, 5e-324)])
+    def test_non_finite_ratio_takes_the_log_path(self, x, eps):
+        X, Y = np.array([[0.0], [x]]), np.array([[0.5], [1.0]])
+        assert not SinkhornState.init(X, Y, eps).gibbs
+
+    def test_iterate_allocates_no_matrix(self):
+        m = n = 512
+        rng = np.random.default_rng(16)
+        X, Y = rng.random((m, 4)), rng.random((n, 4))
+        matrix_bytes = 8 * m * n
+        peaks = {}
+        for s in (SinkhornState.init(X, Y, 0.2), log_domain_state(X, Y, 0.2)):
+            s = sinkhorn_iterate(s)  # warm up outside the trace
+            tracemalloc.start()
+            try:
+                sinkhorn_iterate(s)
+                peaks[s.gibbs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the log-domain iterate's work array shows that the trace sees one
+        assert peaks[False] >= matrix_bytes
+        assert peaks[True] < matrix_bytes // 16
 
 
 class TestSqDists:
