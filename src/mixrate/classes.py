@@ -3,9 +3,10 @@
 The entropy model is the parametric bound
 ``H(u) = K * D * (theta/u)**alpha * log(B/u)**V`` on a bracketing entropy,
 valid for 0 < u <= sigma.  The supremum oracles compute sqrt(n) times the
-centered empirical supremum exactly for three concrete classes on the line:
-half-line indicators, monotone [0,1]-valued functions, and 1-Lipschitz
-functions (the Kantorovich-Rubinstein / W1 form).
+centered empirical supremum exactly for two concrete classes on the line:
+half-line indicators (whose supremum is also that of the monotone
+[0,1]-valued functions) and 1-Lipschitz functions (the
+Kantorovich-Rubinstein / W1 form).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class CdfOracle:
     ``cdf_antideriv`` is an antiderivative of the CDF (any constant), used
     for the exact piecewise W1 integral.  ``support`` bounds the support;
     unbounded support is allowed for the KS oracle but not for W1.  The KS
-    and monotone oracles are exact only for a continuous CDF.
+    oracle is exact only for a continuous CDF.
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
@@ -115,19 +116,6 @@ def sup_halflines(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:
     d_plus = np.max(np.arange(1, n + 1) / n - f)
     d_minus = np.max(f - np.arange(0, n) / n)
     return math.sqrt(n) * float(max(d_plus, d_minus))
-
-
-def sup_monotone01(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:
-    """Centered supremum over monotone [0,1]-valued functions, exactly.
-
-    Extreme points of the class are upper-set indicators, so the value is
-    sqrt(n) * max(sup_t (P_n - P)[t, inf), sup_t (P - P_n)[t, inf)), which
-    coincides with the half-line supremum by complement symmetry.  Like
-    ``sup_halflines``, it is exact only for a continuous F.
-    """
-    # a function of its own rather than an alias: perfbench's tracer keys
-    # each function object by one public name
-    return sup_halflines(sample, cdf_oracle)
 
 
 def sup_lipschitz_w1(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:

@@ -11,10 +11,13 @@ from typing import Sequence
 import numpy as np
 
 from . import mixing
-from .classes import CdfOracle, sup_halflines, sup_lipschitz_w1, sup_monotone01
+from .classes import CdfOracle, sup_halflines, sup_lipschitz_w1
 from .rates import _geometric_bisect, c_phi, lambda_phi_beta
 
-_STATISTICS = {"ks": sup_halflines, "monotone": sup_monotone01,
+# the extreme points of the monotone [0,1]-valued functions are upper-set
+# indicators, so by complement symmetry their centered supremum is the
+# half-line one (exact, like it, only for a continuous F)
+_STATISTICS = {"ks": sup_halflines, "monotone": sup_halflines,
                "w1": sup_lipschitz_w1}
 # bracketing-entropy exponent alpha of each statistic's class: half-lines
 # are VC (alpha 0); monotone and 1-Lipschitz functions on [0, 1] have alpha 1

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -62,6 +64,12 @@ def _gap_list(q, least: int) -> list[int]:
     if not all(type(g) is int and g >= least for g in gaps):
         raise ValueError(f"gap q must be an integer >= {least}")
     return gaps
+
+
+def _check_count(value, name: str) -> None:
+    """ValueError unless value is an integer >= 1 (numpy integers too, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer")
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -178,11 +186,8 @@ class SequenceSample:
         return len(self.values)
 
 
-# state-map entries per chunk of gen_finite_markov's doubling scan: a chunk
-# of 2**14 // m steps holds one map over the m states per step, so memory
-# stays bounded as m grows (2**13 steps for two states); the scan costs
-# O(m log chunk) per step against the O(log m) of a per-step loop
-_MARKOV_SCAN_CELLS = 2**14
+# steps per chunk of uniforms in gen_finite_markov, so memory stays bounded
+_MARKOV_CHUNK = 2**10
 
 
 def _inverse_cdf(p: np.ndarray) -> np.ndarray:
@@ -196,22 +201,18 @@ def _inverse_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _markov_steps(row_cdf: np.ndarray, state: int, u: np.ndarray) -> np.ndarray:
+def _markov_steps(rows, state: int, u) -> list[int]:
     """States after each of len(u) steps from ``state``.
 
-    Step i maps s to ``searchsorted(row_cdf[s], u[i])``.  Row i of ``g``
-    holds step i's map over all m states; log2(len(u)) Hillis-Steele rounds
-    turn row i into the composition of the maps of steps 0..i, so the path
-    is the column of the starting state.
+    Step i moves s to ``bisect_left(rows[s], u[i])``, the state that
+    ``np.searchsorted(rows[s], u[i])`` draws; ``rows`` are the row CDFs,
+    as nested lists or an array.
     """
-    g = np.empty((len(u), len(row_cdf)), dtype=np.intp)
-    for s, row in enumerate(row_cdf):
-        g[:, s] = row.searchsorted(u)
-    k = 1
-    while k < len(u):
-        g[k:] = np.take_along_axis(g[k:], g[:-k], axis=1)
-        k *= 2
-    return g[:, state]
+    path = []
+    for x in u:
+        state = bisect_left(rows[state], x)
+        path.append(state)
+    return path
 
 
 def _check_markov_config(transition, state_values) -> tuple[np.ndarray, np.ndarray]:
@@ -226,18 +227,17 @@ def _check_markov_config(transition, state_values) -> tuple[np.ndarray, np.ndarr
 def gen_finite_markov(transition, state_values, n: int, seed: int) -> SequenceSample:
     """Stationary finite-state Markov trajectory mapped through state values."""
     transition, state_values = _check_markov_config(transition, state_values)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     pi = stationary_distribution(transition)
     rng = np.random.default_rng(seed)
     # inverse-CDF sampling against precomputed row CDFs
-    row_cdf = _inverse_cdf(transition)
+    rows = _inverse_cdf(transition).tolist()
     state = int(np.searchsorted(_inverse_cdf(pi), rng.random()))
     values = np.empty(n)
     values[0] = state_values[state]
-    chunk = max(1, _MARKOV_SCAN_CELLS // len(state_values))
-    for start in range(1, n, chunk):
-        path = _markov_steps(row_cdf, state, rng.random(min(chunk, n - start)))
+    for start in range(1, n, _MARKOV_CHUNK):
+        u = rng.random(min(_MARKOV_CHUNK, n - start)).tolist()
+        path = _markov_steps(rows, state, u)
         values[start:start + len(path)] = state_values[path]
         state = path[-1]
     oracle = MixingProfile(kind=ProfileKind.EXACT_MARKOV, flavor=MixingFlavor.BETA,
@@ -291,8 +291,7 @@ def gen_renewal_chain(tail_exponent: float, l_max: int, n: int, seed: int) -> Se
         raise ConstructionError("tail exponent must be > 0")
     if l_max < 1:
         raise ConstructionError("l_max must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     rng = np.random.default_rng(seed)
     length_cdf, residual_cdf, mean_len = _renewal_tables(tail_exponent, l_max)
     first = int(residual_cdf.searchsorted(rng.random(), side="right")) + 1
@@ -333,8 +332,7 @@ def gen_ar1(a: float, n: int, seed: int) -> SequenceSample:
     """Stationary Gaussian AR(1); exponential mixing with |a|^q decay."""
     if abs(a) >= 1:
         raise ConstructionError("|a| must be < 1 for stationarity")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     rng = np.random.default_rng(seed)
     x = np.empty(n)
     x[0] = rng.standard_normal() / math.sqrt(1.0 - a * a)

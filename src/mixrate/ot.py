@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .empirical import generate, slope_fit
+from .mixing import _check_count
 from .rates import ot_schedule
 
 
@@ -127,8 +127,7 @@ def sinkhorn_iterate(state: SinkhornState) -> SinkhornState:
 def t_eps_k(X, Y, eps: float, k: int) -> float:
     """Entropic transport cost after k Sinkhorn iterations: the dual value
     m^{-1} sum u + n^{-1} sum v."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError("k must be an integer >= 1")
+    _check_count(k, "k")
     state = SinkhornState.init(X, Y, eps)
     for _ in range(k):
         state = sinkhorn_iterate(state)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mixing import MixingFlavor, MixingProfile, _gap_list
+from .mixing import MixingFlavor, MixingProfile, _check_count, _gap_list
 from .classes import EntropyModel, entropy_eval
 
 
@@ -128,8 +128,7 @@ def tau_q(profile: MixingProfile, entropy: EntropyModel, delta: float,
     [0, n] crosses or the profile does not describe beta-mixing."""
     if not (0 < delta <= entropy.sigma):
         raise ValueError("delta must lie in (0, sigma]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     _require_beta(profile)
     return _first_crossings(profile, [_entropy_dyadic_sum(entropy, delta) / n], n)[0][0]
 
@@ -147,8 +146,7 @@ def finite_class_bound(sigma: float, b: float, cardinality: int, n: int,
         raise ValueError("cardinality must be >= 1")
     if sigma <= 0 or b <= 0:
         raise ValueError("sigma and b must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     _require_beta(profile)
     c = c_phi(r)  # rejects r <= 2 before 1 - 2/r is formed
     p = 1.0 - 2.0 / r
@@ -193,8 +191,7 @@ def main_bound(entropy: EntropyModel, profile: MixingProfile, n: int,
     a geometric u-grid ending at sigma.  The nodes share few distinct
     slopes of tau's crossing condition, and one first-crossing search
     (``_first_crossings``) reads every node's tau and Lambda off one beta array."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     if not r > 2:
         raise ValueError("r must exceed 2")
     _require_beta(profile)

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from mixrate import classes
 from mixrate.classes import (CdfOracle, EntropyModel, entropy_eval,
                              lipschitz_compose, sup_halflines, sup_lipschitz_w1,
-                             sup_monotone01, uniform01_cdf)
+                             uniform01_cdf)
+from mixrate.empirical import _STATISTICS
+
+sup_monotone = _STATISTICS["monotone"]
 
 
 class TestEntropyEval:
@@ -97,20 +100,34 @@ class TestSupHalflines:
         assert 0.0 < v < 3.0
 
 
+def upper_set_supremum(sample):
+    # sqrt(n) * sup over upper sets [t, inf) and (t, inf) of |P_n - P| under
+    # Uniform[0, 1]: the extremes sit at the order statistics x_(k), where
+    # P_n[x_(k), inf) = (n - k + 1)/n, P_n(x_(k), inf) = (n - k)/n, P = 1 - x_(k)
+    x = np.sort(sample)
+    n = len(x)
+    k = np.arange(1, n + 1)
+    gaps = np.concatenate([(n - k + 1) / n - (1 - x), (n - k) / n - (1 - x)])
+    return math.sqrt(n) * float(np.abs(gaps).max())
+
+
 class TestSupMonotone01:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 60))
     def test_equals_halfline_supremum(self, seed, n):
+        # the extreme points of the monotone class are upper-set indicators
         sample = np.random.default_rng(seed).random(n)
         o = uniform01_cdf()
-        assert sup_monotone01(sample, o) == pytest.approx(
+        assert sup_monotone(sample, o) == pytest.approx(
+            upper_set_supremum(sample), abs=1e-12)
+        assert sup_monotone(sample, o) == pytest.approx(
             sup_halflines(sample, o), abs=1e-12)
 
     def test_dominates_random_inner_maximization(self):
         rng = np.random.default_rng(1)
         sample = rng.random(50)
         o = uniform01_cdf()
-        bound = sup_monotone01(sample, o)
+        bound = sup_monotone(sample, o)
         n = len(sample)
         # random monotone step functions f(x) = sum_j w_j 1{x >= t_j}
         best = 0.0
@@ -125,7 +142,7 @@ class TestSupMonotone01:
     def test_quantile_grid(self):
         n = 9
         sample = np.arange(1, n + 1) / (n + 1)
-        assert sup_monotone01(sample, uniform01_cdf()) == pytest.approx(
+        assert sup_monotone(sample, uniform01_cdf()) == pytest.approx(
             math.sqrt(n) / (n + 1))
 
 

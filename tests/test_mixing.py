@@ -57,6 +57,18 @@ class TestGenFiniteMarkov:
             mixing.gen_finite_markov(P_LAZY, state_values, 10, seed=0)
 
 
+@pytest.mark.parametrize("n", [True, 2.5, 3.0])
+@pytest.mark.parametrize("draw", [
+    lambda n: mixing.gen_finite_markov(P_LAZY, [0.0, 1.0], n, 0),
+    lambda n: mixing.gen_renewal_chain(0.5, 10, n, 0),
+    lambda n: mixing.gen_ar1(0.5, n, 0),
+], ids=["markov", "renewal", "ar1"])
+def test_non_integer_length_rejected(draw, n):
+    # a bool is an int to isinstance, and a float n must not reach numpy sizes
+    with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+        draw(n)
+
+
 def loop_gen_finite_markov(transition, state_values, n, seed):
     # reference: one inverse-CDF searchsorted per step in a Python loop
     rng = np.random.default_rng(seed)
@@ -73,7 +85,7 @@ def loop_gen_finite_markov(transition, state_values, n, seed):
 
 
 class TestMarkovScan:
-    """The chunked doubling scan must reproduce the per-step loop bit for bit."""
+    """The chunked per-step bisect must reproduce the searchsorted loop bit for bit."""
 
     @staticmethod
     def check(m, n):
@@ -86,16 +98,16 @@ class TestMarkovScan:
             got = mixing.gen_finite_markov(P, values, n, seed).values
             assert np.array_equal(got, loop_gen_finite_markov(P, values, n, seed))
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 100])
     @pytest.mark.parametrize("n", [1, 2, 2**13, 2**13 + 1, 2**13 + 2, 40000])
     def test_bit_identical_to_loop(self, m, n):
         self.check(m, n)
 
     @pytest.mark.parametrize("m", [3, 9, 40])
     def test_bit_identical_at_chunk_boundaries(self, m):
-        # n - 1 steps in chunks of _MARKOV_SCAN_CELLS // m: one full chunk,
-        # then a full chunk and one step, then two full chunks
-        chunk = mixing._MARKOV_SCAN_CELLS // m
+        # n - 1 steps in chunks of _MARKOV_CHUNK: one full chunk, then a
+        # full chunk and one step, then two full chunks
+        chunk = mixing._MARKOV_CHUNK
         for n in (chunk + 1, chunk + 2, 2 * chunk + 1):
             self.check(m, n)
 

@@ -284,6 +284,27 @@ class TestTauQ:
             tau_q(IID, self.ENT, 2.0, 100)
 
 
+class TestSampleSizeChecked:
+    """n is checked at entry: an integer >= 1, numpy integers too, bools not."""
+
+    CALLS = {
+        "tau_q": lambda n: tau_q(poly(3.0), EntropyModel(alpha=1.0), 0.5, n),
+        "main_bound": lambda n: main_bound(EntropyModel(alpha=1.0), poly(3.0), n, 4.0),
+        "finite_class_bound": lambda n: finite_class_bound(1.0, 1.0, 100, n, poly(3.0), 4.0),
+    }
+
+    # a bool is an int to isinstance, and a float n must not reach the q grid
+    @pytest.mark.parametrize("n", [True, 2.5, 1e4, 1e5])
+    @pytest.mark.parametrize("fn", list(CALLS))
+    def test_non_integer_n_rejected(self, fn, n):
+        with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+            self.CALLS[fn](n)
+
+    @pytest.mark.parametrize("fn", list(CALLS))
+    def test_numpy_integer_n_accepted(self, fn):
+        assert self.CALLS[fn](np.int64(1000)) == self.CALLS[fn](1000)
+
+
 class TestFiniteClassBound:
     def test_singleton_iid_explicit_minimum(self):
         # |F|=1: min over q of sqrt(c^2 + 4) + q/10, attained at q = 1
