@@ -349,6 +349,7 @@ def gen_ar1(a: float, n: int, seed: int) -> SequenceSample:
 
 def gen_iid_uniform(n: int, seed: int) -> SequenceSample:
     """I.i.d. Uniform[0,1] baseline DGP."""
+    _check_count(n, "n")
     rng = np.random.default_rng(seed)
     return SequenceSample(values=rng.random(n), mixing_oracle=MixingProfile.iid())
 

@@ -5,9 +5,14 @@ paths with lazy duals: Jonker & Volgenant 1987, Crouse 2016), and the
 comparison harness.
 
 The transport path uses numpy only, and importing this module loads no
-scipy module. A Sinkhorn iterate is two matrix-vector products with the
-Gibbs kernel exp(-C/eps) when no entry of it underflows, and otherwise an
-in-place, max-shifted log-sum-exp over the cost matrix."""
+scipy module. Cost matrices in fewer than eight dimensions are
+accumulated one axis at a time, in the order numpy's sum adds a row of d
+terms, so they equal the full (m, n, d) broadcast sum bit for bit. A
+Sinkhorn iterate is two matrix-vector products with the Gibbs kernel
+exp(-C/eps) when no entry of it underflows, and otherwise an in-place,
+max-shifted log-sum-exp over the cost matrix. The assignment solver's
+Dijkstra steps keep no parent array; the augmenting path is recovered
+from each step's row and shift."""
 
 from __future__ import annotations
 
@@ -34,15 +39,29 @@ def _cloud(X) -> np.ndarray:
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared distances, shape (m, n), built a block of rows at a
     time so the (m, n, d) differences are never held at once. Each entry is
-    the same length-d reduction as the full broadcast, bit for bit."""
+    the same length-d reduction as the full broadcast
+    ``((X[:, None] - Y[None]) ** 2).sum(axis=2)``, bit for bit. Below eight
+    axes numpy adds a row's terms in turn, so the block is accumulated one
+    axis at a time, which skips the slow reduce over a short last axis;
+    from eight axes on, the block is that broadcast sum itself."""
     X, Y = _cloud(X), _cloud(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError("dimension mismatch")
     m, (n, d) = X.shape[0], Y.shape
     d2 = np.empty((m, n))
-    b = max(1, 2 ** 16 // max(1, n * d))  # rows per block of ~2^16 entries
+    if not 0 < d < 8:
+        b = max(1, 2 ** 16 // max(1, n * d))  # rows per block of ~2^16 entries
+        for i in range(0, m, b):
+            d2[i:i + b] = ((X[i:i + b, None, :] - Y[None]) ** 2).sum(axis=2)
+        return d2
+    b = max(1, 2 ** 16 // max(1, n))
+    tmp = np.empty((min(b, m), n))
     for i in range(0, m, b):
-        d2[i:i + b] = ((X[i:i + b, None, :] - Y[None]) ** 2).sum(axis=2)
+        out, t = d2[i:i + b], tmp[:min(b, m - i)]
+        np.square(np.subtract(X[i:i + b, 0, None], Y[:, 0], out=out), out=out)
+        for k in range(1, d):
+            np.subtract(X[i:i + b, k, None], Y[:, k], out=t)
+            out += np.square(t, out=t)
     return d2
 
 
@@ -153,7 +172,13 @@ def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     v starts at the column minima and each column goes to its first
     minimising row if that row is free. Each row left free grows one
     Dijkstra path on the reduced costs c_ij - u_i - v_j, and the duals
-    move once per augmentation instead of at every step.
+    move once per augmentation instead of at every step. A step is four
+    array operations (reduced row, shift, elementwise minimum into the
+    tentative distances, argmin) and records its row and shift. When the
+    path reaches a free column, each column on it gets as parent the first
+    step, of those that relaxed it, whose value equals its final distance:
+    the row a strict-< relaxation would have kept, so ties resolve the
+    same way. Scratch is O(n).
 
     Returns (cols, total) where cols[i] is the column matched to row i.
     """
@@ -161,7 +186,7 @@ def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError("cost matrix must be square")
-    row4col, col4row = np.full(n, -1), np.full(n, -1)
+    row4col, col4row = [-1] * n, np.full(n, -1)
     if n == 0:
         return col4row, 0.0
     v = cost.min(axis=0)  # nan and -inf show here, +inf in the maximum
@@ -171,36 +196,45 @@ def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
         if col4row[i] < 0:  # column j goes to its first minimising row
             row4col[j], col4row[i] = i, j
     u, vfree = np.zeros(n), v.copy()  # -inf in vfree marks scanned columns
-    dist, r, lows = np.empty(n), np.empty(n), np.empty(n)
-    path, scanned = np.empty(n, dtype=int), np.empty(n, dtype=int)
-    relax = np.empty(n, dtype=bool)
+    dist, r = np.empty(n), np.empty(n)
+    rows, scanned = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    shifts, lows = np.empty(n), np.empty(n)  # one entry per step
     for start in np.flatnonzero(col4row < 0):
         dist.fill(np.inf)
         i, low, k = start, 0.0, 0
         while True:
+            shift = low - u[i]
             np.subtract(cost[i], vfree, out=r)
-            r += low - u[i]
-            np.less(r, dist, out=relax)
-            np.copyto(dist, r, where=relax)
-            path[relax] = i
+            r += shift
+            np.minimum(dist, r, out=dist)
             j = int(dist.argmin())
             low = dist[j]
-            if row4col[j] < 0:
+            rows[k], shifts[k] = i, shift
+            i = row4col[j]
+            if i < 0:
                 break
             scanned[k], lows[k] = j, low
             k += 1
-            vfree[j], dist[j] = -np.inf, np.inf
-            i = row4col[j]
+            vfree[j], dist[j] = -math.inf, math.inf
+        # Flip the path from the sink j back to the free start, before the
+        # duals move. The column scanned at step s was relaxed by steps
+        # 0..s (the sink by every step), and its parent row is that of the
+        # first of them to give its final distance.
+        s = k
+        while True:
+            p = int(((cost[rows[:s + 1], j] - v[j]) + shifts[:s + 1]).argmin())
+            i = rows[p]
+            row4col[j], col4row[i] = i, j
+            if p == 0:
+                break
+            s = p - 1
+            j = scanned[s]
         sc = scanned[:k]
         gap = low - lows[:k]
         u[start] += low
-        u[row4col[sc]] += gap
+        u[rows[1:k + 1]] += gap  # rows[t + 1] was matched to column scanned[t]
         v[sc] -= gap
         vfree[sc] = v[sc]
-        while j >= 0:  # flip the path from the sink j back to the free start
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
     total = float(cost[np.arange(n), col4row].sum())
     return col4row, total
 

@@ -57,14 +57,16 @@ class TestGenFiniteMarkov:
             mixing.gen_finite_markov(P_LAZY, state_values, 10, seed=0)
 
 
-@pytest.mark.parametrize("n", [True, 2.5, 3.0])
+@pytest.mark.parametrize("n", [True, 2.5, 3.0, 0, -3])
 @pytest.mark.parametrize("draw", [
     lambda n: mixing.gen_finite_markov(P_LAZY, [0.0, 1.0], n, 0),
     lambda n: mixing.gen_renewal_chain(0.5, 10, n, 0),
     lambda n: mixing.gen_ar1(0.5, n, 0),
-], ids=["markov", "renewal", "ar1"])
+    lambda n: mixing.gen_iid_uniform(n, 0),
+], ids=["markov", "renewal", "ar1", "iid_uniform"])
 def test_non_integer_length_rejected(draw, n):
-    # a bool is an int to isinstance, and a float n must not reach numpy sizes
+    # a bool is an int to isinstance, a float n must not reach numpy sizes,
+    # and n < 1 draws no sample
     with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
         draw(n)
 

@@ -65,6 +65,51 @@ def frozen_solve_assignment(cost):
     return cols, total
 
 
+def frozen_lazy_dual_solve_assignment(cost):
+    """solve_assignment as it was when each Dijkstra step stored its row
+    as the parent of every column it strictly improved: the reference for
+    the tie rule, which the per-row Hungarian method above does not share."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    row4col, col4row = np.full(n, -1), np.full(n, -1)
+    v = cost.min(axis=0)
+    for j, i in enumerate((cost == v).argmax(axis=0).tolist()):
+        if col4row[i] < 0:
+            row4col[j], col4row[i] = i, j
+    u, vfree = np.zeros(n), v.copy()
+    dist, r, lows = np.empty(n), np.empty(n), np.empty(n)
+    path, scanned = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for start in np.flatnonzero(col4row < 0):
+        dist.fill(np.inf)
+        i, low, k = start, 0.0, 0
+        while True:
+            np.subtract(cost[i], vfree, out=r)
+            r += low - u[i]
+            relax = r < dist
+            dist[relax] = r[relax]
+            path[relax] = i
+            j = int(dist.argmin())
+            low = dist[j]
+            if row4col[j] < 0:
+                break
+            scanned[k], lows[k] = j, low
+            k += 1
+            vfree[j], dist[j] = -np.inf, np.inf
+            i = row4col[j]
+        sc = scanned[:k]
+        gap = low - lows[:k]
+        u[start] += low
+        u[row4col[sc]] += gap
+        v[sc] -= gap
+        vfree[sc] = v[sc]
+        while j >= 0:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    total = float(cost[np.arange(n), col4row].sum())
+    return col4row, total
+
+
 class TestSinkhornIterates:
     def test_one_atom_first_iterate(self):
         X = np.array([[0.2]])
@@ -255,11 +300,14 @@ class TestGibbsKernelIterate:
 
 
 class TestSqDists:
-    @pytest.mark.parametrize("d", range(1, 17))
+    # d = 0 is an empty sum, 1 <= d < 8 a running sum over the axes, and
+    # from d = 8 on (where numpy's sum is no longer sequential) each block
+    # is the broadcast sum itself
+    @pytest.mark.parametrize("d", [*range(0, 41), 127, 128, 129, 200, 300])
     def test_bit_identical_to_full_broadcast(self, d):
         rng = np.random.default_rng(d)
         # one point, one block, and row counts that are not a multiple of
-        # the row block of 2**16 // (n * d) rows
+        # the row block
         for m, n in [(1, 9), (7, 5), (129, 512), (1000, 3), (37, 1777)]:
             X, Y = rng.normal(size=(m, d)), rng.normal(size=(n, d))
             full = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
@@ -440,6 +488,18 @@ class TestAssignmentSolver:
             cost = _sq_dists(X, Y)
             cols, total = solve_assignment(cost)
             ref_cols, ref_total = frozen_solve_assignment(cost)
+            assert np.array_equal(cols, ref_cols)
+            assert total == ref_total
+
+    @pytest.mark.parametrize("n", [3, 8, 30, 100])
+    def test_matches_frozen_solver_on_tied_costs(self, n):
+        # costs in {0..3} tie everywhere, so this pins the tie rule: each
+        # column's parent is the first row to reach its final distance
+        rng = np.random.default_rng(104 + n)
+        for _ in range(30):
+            cost = rng.integers(0, 4, size=(n, n)).astype(float)
+            cols, total = solve_assignment(cost)
+            ref_cols, ref_total = frozen_lazy_dual_solve_assignment(cost)
             assert np.array_equal(cols, ref_cols)
             assert total == ref_total
 
