@@ -54,7 +54,7 @@ class EntropyModel:
 
 def entropy_eval(model: EntropyModel, u: float) -> float:
     """Evaluate the entropy bound at scale u in (0, sigma]."""
-    if u <= 0 or u > model.sigma + 1e-12:
+    if not 0 < u <= model.sigma + 1e-12:  # negated, so that NaN fails it
         raise ValueError(f"scale u must lie in (0, sigma={model.sigma}], got {u}")
     return (model.K * model.D * (model.theta / u) ** model.alpha
             * math.log(model.B / u) ** model.V)

@@ -114,8 +114,6 @@ SCHEMAS = {
                        "items": {"type": "integer", "minimum": 2}},
             "replications": {"type": "integer", "minimum": 1},
             "base_seed": {"type": "integer", "minimum": 0},
-            "eps_override": {"type": "number", "exclusiveMinimum": 0},
-            "k_override": {"type": "integer", "minimum": 1},
         },
         "required": ["dgp", "d", "beta", "n_grid", "replications", "base_seed"],
         "additionalProperties": False,
@@ -248,8 +246,7 @@ def _cmd_mixing_est(cfg: dict, outdir: Path) -> None:
 def _cmd_ot_bench(cfg: dict, outdir: Path) -> None:
     report = ot.compare_estimators(
         cfg["dgp"], cfg["d"], cfg["beta"], cfg["n_grid"],
-        replications=cfg["replications"], base_seed=cfg["base_seed"],
-        eps_override=cfg.get("eps_override"), k_override=cfg.get("k_override"))
+        replications=cfg["replications"], base_seed=cfg["base_seed"])
     rows = [[int(n), ev, sv, et, st, k, e] for n, ev, sv, et, st, (k, e)
             in zip(report.n_grid, report.exact_values, report.sinkhorn_values,
                    report.exact_times, report.sinkhorn_times, report.schedules)]
@@ -303,9 +300,9 @@ def _verify_bank(seed: int) -> tuple[int, int, list[str]]:
     check("sinkhorn_self_zero", abs(ot.sinkhorn_divergence(X, X, 0.5, 50)) < 1e-10)
     vals = [ot.t_eps_k(X, Y, 0.5, k) for k in (1, 5, 25)]
     check("sinkhorn_monotone", vals[0] <= vals[1] + 1e-10 <= vals[2] + 2e-10)
-    check("w2_solvers_agree",
-          abs(ot.exact_w2(X[:, :1], Y[:, :1], "sorted")
-              - ot.exact_w2(X[:, :1], Y[:, :1], "assignment")) < 1e-9)
+    check("w2_solvers_agree",  # sorted matching against the assignment solver
+          abs(ot.exact_w2(X[:, :1], Y[:, :1])
+              - ot.solve_assignment(ot._sq_dists(X[:, :1], Y[:, :1]))[1] / 12) < 1e-9)
     return passed, len(failures), failures
 
 
@@ -334,7 +331,7 @@ def _check_semantics(command: str, cfg: dict) -> None:
                                     dgp["params"]["state_values"])
     if command == "mixing-est":
         mixing._check_binning(cfg["n"], np.asarray(cfg["q_grid"]), cfg["m_bins"])
-    if command == "ot-bench" and not ("eps_override" in cfg and "k_override" in cfg):
+    if command == "ot-bench":
         rates.ot_schedule(cfg["beta"], cfg["d"], min(cfg["n_grid"]))
 
 

@@ -2,7 +2,8 @@
 Sinkhorn divergence, an exact squared-Wasserstein baseline via an
 assignment solver (column-reduction warm start plus shortest augmenting
 paths with lazy duals: Jonker & Volgenant 1987, Crouse 2016), and the
-comparison harness.
+comparison harness, which always runs the paper's (k_n, eps_n) schedule
+(``rates.ot_schedule``). The exact baseline matches sorted points in 1-D.
 
 The transport path uses numpy only, and importing this module loads no
 scipy module. Cost matrices in fewer than eight dimensions are
@@ -16,7 +17,6 @@ from each step's row and shift."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -239,15 +239,12 @@ def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     return col4row, total
 
 
-def exact_w2(X, Y, method: str = "auto") -> float:
+def exact_w2(X, Y) -> float:
     """Exact squared 2-Wasserstein distance between equal-size point clouds:
     min over matchings of the mean squared distance.
 
-    One-dimensional clouds use the sorted-matching shortcut, others the
-    assignment solver (``solve_assignment``: column reduction plus shortest
-    augmenting paths with lazy duals, after Jonker & Volgenant 1987 and
-    Crouse 2016); ``method`` forces a specific solver (assignment / sorted /
-    brute) for cross-checks. Clouds are (n, d) arrays with n >= 1, or 1-D
+    One-dimensional clouds are matched in sorted order, all others by
+    ``solve_assignment``. Clouds are (n, d) arrays with n >= 1, or 1-D
     arrays of n points on the line.
     """
     X, Y = _cloud(X), _cloud(Y)
@@ -258,21 +255,9 @@ def exact_w2(X, Y, method: str = "auto") -> float:
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty cloud")
-    if method == "auto":
-        method = "sorted" if X.shape[1] == 1 else "assignment"
-    if method == "sorted":
-        if X.shape[1] != 1:
-            raise ValueError("sorted matching requires 1-D clouds")
+    if X.shape[1] == 1:
         return float(np.mean((np.sort(X[:, 0]) - np.sort(Y[:, 0])) ** 2))
-    cost = _sq_dists(X, Y)
-    if method == "brute":
-        best = min(sum(cost[i, p[i]] for i in range(n))
-                   for p in itertools.permutations(range(n)))
-        return float(best) / n
-    if method != "assignment":
-        raise ValueError(f"unknown method {method!r}")
-    _, total = solve_assignment(cost)
-    return total / n
+    return solve_assignment(_sq_dists(X, Y))[1] / n
 
 
 # ---------------------------------------------------------------------------
@@ -299,37 +284,26 @@ def gen_cloud(dgp_cfg: dict, n: int, d: int, seed: int) -> np.ndarray:
 
 
 def compare_estimators(dgp_pair_cfg: dict, d: int, beta: float, n_grid,
-                       replications: int = 1, base_seed: int = 0,
-                       eps_override: float | None = None,
-                       k_override: int | None = None) -> OtComparisonReport:
+                       replications: int = 1, base_seed: int = 0) -> OtComparisonReport:
     """Exact assignment baseline versus Sinkhorn divergence at the
-    theoretical (k_n, eps_n) schedule, with wall-clock power-law fits."""
-    if d < 2:
-        raise ValueError("harness needs d >= 2")
+    (k_n, eps_n) schedule of ``rates.ot_schedule`` (d >= 4, beta off the
+    boundary 2/(d-2)), with wall-clock power-law fits."""
     n_grid = np.asarray(list(n_grid), dtype=int)
+    schedules = [ot_schedule(beta, d, int(n)) for n in n_grid]
     exact_vals = np.empty(len(n_grid))
     sink_vals = np.empty(len(n_grid))
     exact_t = np.empty(len(n_grid))
     sink_t = np.empty(len(n_grid))
-    schedules = []
+    # d > 2 guards an empty n_grid, for which no ot_schedule check has run
     regime = "fast" if d > 2 and beta > 2.0 / (d - 2) else "slow"
-    for i, n in enumerate(n_grid):
-        if eps_override is not None and k_override is not None:
-            k_n, eps_n = k_override, eps_override
-        else:
-            k_n, eps_n = ot_schedule(beta, d, int(n))
-            if eps_override is not None:
-                eps_n = eps_override
-            if k_override is not None:
-                k_n = k_override
-        schedules.append((int(k_n), float(eps_n)))
+    for i, (n, (k_n, eps_n)) in enumerate(zip(n_grid, schedules)):
         ev, sv, et, st = 0.0, 0.0, 0.0, 0.0
         for rep in range(replications):
             seed = base_seed + 10_000 * i + 2 * rep
             X = gen_cloud(dgp_pair_cfg, int(n), d, seed)
             Y = gen_cloud(dgp_pair_cfg, int(n), d, seed + 1)
             t0 = time.perf_counter()
-            ev += exact_w2(X, Y, method="assignment")
+            ev += exact_w2(X, Y)
             et += time.perf_counter() - t0
             t0 = time.perf_counter()
             sv += sinkhorn_divergence(X, Y, eps_n, k_n)

@@ -142,9 +142,8 @@ def finite_class_bound(sigma: float, b: float, cardinality: int, n: int,
     """inf over q in [1, n] of
     sigma*pi(q)*sqrt(1+log|F|) + b*q*(1+log|F|)/sqrt(n) + b*beta_q*sqrt(n),
     with pi(q) = sqrt(c_phi**2 + 2*Lambda(q)).  Absolute constant K = 1."""
-    if cardinality < 1:
-        raise ValueError("cardinality must be >= 1")
-    if sigma <= 0 or b <= 0:
+    _check_count(cardinality, "cardinality")
+    if not (sigma > 0 and b > 0):  # negated, so that NaN fails it
         raise ValueError("sigma and b must be > 0")
     _check_count(n, "n")
     _require_beta(profile)
@@ -332,8 +331,8 @@ def pi_n(entropy: EntropyModel, gamma: float, sigma: float, n: int,
     scale (unless enforce_scale=False, used by the localization solver whose
     fixed point sits exactly at the scale floor).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not (gamma > 0 and sigma > 0):  # negated, so that NaN fails it
+        raise ValueError("gamma and sigma must be > 0")
     theta, alpha, V = entropy.theta, entropy.alpha, entropy.V
     D = entropy.K * entropy.D  # the entropy constant, as entropy_eval reads it
     r_t = min(entropy.r, 2.0)
@@ -452,47 +451,48 @@ def application_exponents(app: str, **p) -> float:
     convex_adapt(d, gamma); ot(beta, d); classification(alpha, gamma).
     gamma = math.inf recovers the independent-data exponents exactly.
     """
+    # every check is a negated comparison, so that a NaN parameter fails it
     if app == "dnn":
         s, d, gamma = p["s"], p["d"], p["gamma"]
-        if s <= 0 or d < 1 or gamma <= 0:
+        if not (s > 0 and d >= 1 and gamma > 0):
             raise ValueError("need s > 0, d >= 1, gamma > 0")
         return s / (d + 2 * s * _inflation(gamma))
     if app == "additive":
         s, gamma, a = p["s"], p["gamma"], p["d_as"]
-        if not (0 <= a < 1) or s <= 0 or gamma <= 0:
+        if not (0 <= a < 1 and s > 0 and gamma > 0):
             raise ValueError("need 0 <= d_as < 1, s > 0, gamma > 0")
         num = 2 * s * (1 - a) - a
-        if num <= 0:
+        if not num > 0:
             raise ValueError("dimension growth too fast for consistency")
         return num / (2 * s * _inflation(gamma) + 1)
     if app == "convex_worst":
         d, beta = p["d"], p["beta"]
-        if d <= 4:
+        if not d > 4:
             raise ValueError("worst-case convex regression needs d > 4")
         if _near(beta, 2.0 / (d - 2)) or _near(beta, 1.0):
             raise BoundaryParameterError("beta at an excluded boundary")
-        if beta < 2.0 / (d - 2):
+        if not beta > 2.0 / (d - 2):
             raise ValueError("needs beta > 2/(d-2)")
         return 2.0 / d
     if app == "convex_adapt":
         d, gamma = p["d"], p["gamma"]
-        if d <= 8:
+        if not d > 8:
             raise ValueError("convex adaptation needs d > 8")
         if _near(gamma, 4.0 / (d - 4)) or _near(gamma, 1.0):
             raise BoundaryParameterError("gamma at an excluded boundary")
-        if gamma < 4.0 / (d - 4):
+        if not gamma > 4.0 / (d - 4):
             raise ValueError("needs gamma > 4/(d-4)")
         return 4.0 / d
     if app == "ot":
         beta, d = p["beta"], p["d"]
-        if d < 4 or beta <= 0:
+        if not (d >= 4 and beta > 0):
             raise ValueError("need d >= 4 and beta > 0")
         if _near(beta, 2.0 / (d - 2)):
             raise BoundaryParameterError("beta at the regime boundary")
         return 2.0 / d if beta > 2.0 / (d - 2) else beta / (beta + 1.0)
     if app == "classification":
         alpha, gamma = p["alpha"], p["gamma"]
-        if alpha < 0 or gamma <= 0:
+        if not (alpha >= 0 and gamma > 0):
             raise ValueError("need alpha >= 0, gamma > 0")
         inv_g = 0.0 if math.isinf(gamma) else 1.0 / gamma
         return 1.0 / (alpha + 1.0 + inv_g)
@@ -503,7 +503,7 @@ def ot_schedule(beta: float, d: int, n: int) -> tuple[int, float]:
     """Sinkhorn iteration count and regularization for the debiased entropic
     transport estimator: (ceil(n^{3/d}), n^{-1/d}) in the fast-mixing regime
     beta > 2/(d-2), else (ceil(n^{3 beta/(2(beta+1))}), n^{-beta/(2(beta+1))})."""
-    if d < 4 or beta <= 0 or n < 1:
+    if not (d >= 4 and beta > 0 and n >= 1):  # negated, so that NaN fails it
         raise ValueError("need d >= 4, beta > 0, n >= 1")
     if _near(beta, 2.0 / (d - 2)):
         raise BoundaryParameterError("beta at the regime boundary 2/(d-2)")

@@ -22,6 +22,7 @@ from mixrate.rates import (BoundaryParameterError, Regime,
                            application_exponents, boundary_curve, pi_n,
                            rate_exponent, solve_delta_n, tau_q)
 from test_mixing import markov_profile
+from test_ot import assignment_w2, brute_assignment_total
 from test_rates import frozen_tau_q
 
 ORACLE = uniform01_cdf()
@@ -190,16 +191,15 @@ def test_criterion_7_entropic_transport_suite():
     brute_ok = True
     for n in (2, 3, 4, 5, 6):
         U, V = rng.random((n, 2)), rng.random((n, 2))
-        brute_ok &= abs(exact_w2(U, V, "assignment")
-                        - exact_w2(U, V, "brute")) <= 1e-12
+        brute_ok &= abs(exact_w2(U, V)
+                        - brute_assignment_total(ot._sq_dists(U, V)) / n) <= 1e-12
     checks.append(brute_ok)
     sort_ok = True
     for i in range(100):
         g = np.random.default_rng(i)
         U, V = g.random((g.integers(1, 15), 1)), None
         V = g.random(U.shape)
-        sort_ok &= abs(exact_w2(U, V, "sorted")
-                       - exact_w2(U, V, "assignment")) <= 1e-12
+        sort_ok &= abs(exact_w2(U, V) - assignment_w2(U, V)) <= 1e-12
     checks.append(sort_ok)
     ok = all(checks)
     assert report(7, "entropic transport invariants and exact baselines", ok,

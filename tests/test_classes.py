@@ -36,6 +36,12 @@ class TestEntropyEval:
         with pytest.raises(ValueError):
             entropy_eval(m, 1.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("u", [math.nan, -math.inf, math.inf])
+    def test_non_finite_scale_rejected(self, alpha, u):
+        with pytest.raises(ValueError, match="scale u must lie in"):
+            entropy_eval(EntropyModel(alpha=alpha), u)
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.01, 0.99), st.floats(0.02, 1.0))
     def test_strictly_decreasing_when_complex(self, u1, u2):

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from mixrate import rates
+from mixrate import ot, rates
 from mixrate.cli import SCHEMAS, config_hash, main
 from mixrate.empirical import _STATISTICS
 
@@ -241,7 +241,7 @@ class TestSemanticConfigFaults:
                         "n": 1000, "q_grid": [1, 600], "m_bins": 2, "seed": 3}),
         ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 1.0,
                       "n_grid": [8, 12, 16, 24], "replications": 1,
-                      "base_seed": 0, "k_override": 5}),
+                      "base_seed": 0}),
         ("rates", {"cells": [{"alpha": 1.0, "beta": 3.0, "r": "abc"}]}),
         ("rates", {"cells": [{"alpha": 1.0, "beta": 3.0, "r": 1.5}]}),
         ("rates", {"cells": [{"alpha": -1.0, "beta": 3.0}]}),
@@ -252,7 +252,7 @@ class TestSemanticConfigFaults:
                       "base_seed": 0}),
         ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
                       "n_grid": [16, 16, 24, 32], "replications": 1,
-                      "base_seed": 0, "k_override": 20}),
+                      "base_seed": 0}),
         ("mixing-est", {"dgp": {"generator": "iid_uniform"},
                         "n": 1000, "q_grid": [], "m_bins": 2, "seed": 3}),
         # json.dumps writes nan and inf as the non-standard literals NaN and
@@ -278,7 +278,7 @@ class TestSemanticConfigFaults:
                       "base_seed": -3}),
         ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
                       "n_grid": [16, 24, 32, 48], "replications": 1,
-                      "base_seed": -3, "k_override": 20}),
+                      "base_seed": -3}),
     ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
             "too_few_observations_for_bins", "gap_not_below_half_n",
             "beta_at_regime_boundary", "r_not_a_number", "r_not_above_2",
@@ -310,7 +310,7 @@ class TestIntegerFields:
                      "replications": 30, "base_seed": 0},
         "ot-bench": {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
                      "n_grid": [16, 24, 32, 48], "replications": 1,
-                     "base_seed": 0, "k_override": 20},
+                     "base_seed": 0},
         "verify": {"seed": 0},
     }
 
@@ -321,7 +321,7 @@ class TestIntegerFields:
         ("simulate", ["base_seed"]), ("simulate", ["dgp", "params", "l_max"]),
         ("ot-bench", ["d"]), ("ot-bench", ["n_grid", 3]),
         ("ot-bench", ["replications"]), ("ot-bench", ["base_seed"]),
-        ("ot-bench", ["k_override"]), ("verify", ["seed"]),
+        ("verify", ["seed"]),
     ], ids=lambda x: x if isinstance(x, str) else "/".join(map(str, x)))
     def test_float_exits_2_and_writes_nothing(self, tmp_path, capsys, command, path):
         cfg = copy.deepcopy(self.VALID[command])
@@ -343,8 +343,7 @@ class TestOtBenchCommand:
         cfg_path = write_cfg(
             tmp_path, "ot.json",
             {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
-             "n_grid": [16, 24, 32, 48], "replications": 1, "base_seed": 0,
-             "k_override": 20})
+             "n_grid": [16, 24, 32, 48], "replications": 1, "base_seed": 0})
         out = tmp_path / "out"
         assert main(["ot-bench", "--config", cfg_path,
                      "--output-dir", str(out)]) == 0
@@ -356,14 +355,14 @@ class TestOtBenchCommand:
 
     @pytest.mark.parametrize("extra", [
         {"d": 3},
-        {"d": 3, "k_override": 5},
-        {"d": 3, "eps_override": 0.5},
         {"beta": 0.0},
         {"beta": -1.0},
-        {"eps_override": 0.0},
-        {"k_override": 0},
-    ], ids=["d3_no_overrides", "d3_k_only", "d3_eps_only", "zero_beta",
-            "negative_beta", "zero_eps", "zero_k"])
+        # the harness always runs the (k_n, eps_n) schedule: there is no
+        # field that sets either
+        {"eps_override": 0.5},
+        {"k_override": 5},
+    ], ids=["d3_no_overrides", "zero_beta", "negative_beta",
+            "eps_override_field", "k_override_field"])
     def test_config_fault_exits_2(self, tmp_path, capsys, extra):
         cfg_path = write_cfg(
             tmp_path, "ot.json",
@@ -376,17 +375,25 @@ class TestOtBenchCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_both_overrides_allow_low_dimension(self, tmp_path):
-        cfg_path = write_cfg(
-            tmp_path, "ot.json",
-            {"dgp": {"generator": "iid_uniform"}, "d": 2, "beta": 3.0,
-             "n_grid": [8, 12, 16, 24], "replications": 1, "base_seed": 0,
-             "eps_override": 0.5, "k_override": 5})
+    def test_wide_valued_dgp_runs_sinkhorn_in_the_log_domain(self, tmp_path):
+        # clouds on {0, 100}^4: max(C)/eps is about 8e4, far above the
+        # Gibbs-kernel bound of 500, so every Sinkhorn iterate is a log-sum-exp
+        cfg = {"dgp": {"generator": "markov",
+                       "params": {"transition": [[0.9, 0.1], [0.2, 0.8]],
+                                  "state_values": [0.0, 100.0]}},
+               "d": 4, "beta": 3.0, "n_grid": [16, 24, 32, 48],
+               "replications": 1, "base_seed": 0}
+        n, d = cfg["n_grid"][0], cfg["d"]
+        X = ot.gen_cloud(cfg["dgp"], n, d, cfg["base_seed"])
+        Y = ot.gen_cloud(cfg["dgp"], n, d, cfg["base_seed"] + 1)
+        _, eps = rates.ot_schedule(cfg["beta"], d, n)
+        assert not ot.SinkhornState.init(X, Y, eps).gibbs
         out = tmp_path / "out"
-        assert main(["ot-bench", "--config", cfg_path,
+        assert main(["ot-bench", "--config", write_cfg(tmp_path, "ot.json", cfg),
                      "--output-dir", str(out)]) == 0
-        rows = (out / "ot_bench.csv").read_text().strip().splitlines()
-        assert all(r.endswith(",5,0.5") for r in rows[1:])
+        with open(out / "ot_bench.csv") as fh:
+            values = [float(row["sinkhorn_div"]) for row in csv.DictReader(fh)]
+        assert len(values) == 4 and all(map(math.isfinite, values))
 
 
 class TestVerifyCommand:

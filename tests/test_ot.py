@@ -21,6 +21,19 @@ from mixrate.ot import (_GIBBS_MAX_RATIO, SinkhornState, _logsumexp_inplace,
 IID_CFG = {"generator": "iid_uniform"}
 
 
+def brute_assignment_total(cost):
+    """The minimum matched cost over all n! permutations, for small n."""
+    n = len(cost)
+    return min(sum(cost[i, p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def assignment_w2(X, Y):
+    """exact_w2 through the assignment solver, also for 1-D clouds."""
+    cost = _sq_dists(X, Y)
+    return solve_assignment(cost)[1] / cost.shape[0]
+
+
 def frozen_solve_assignment(cost):
     """solve_assignment as it was when it ran the per-row Hungarian method,
     updating the duals at every step: the reference that the current solver
@@ -386,23 +399,20 @@ class TestExactW2:
         rng = np.random.default_rng(6)
         for _ in range(20):
             X, Y = rng.random((3, 2)), rng.random((3, 2))
-            assert exact_w2(X, Y, method="assignment") == pytest.approx(
-                exact_w2(X, Y, method="brute"), abs=1e-12)
+            assert exact_w2(X, Y) == pytest.approx(
+                brute_assignment_total(_sq_dists(X, Y)) / 3, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 12))
     def test_sorted_equals_assignment_in_1d(self, seed, n):
         rng = np.random.default_rng(seed)
         X, Y = rng.random((n, 1)), rng.random((n, 1))
-        assert exact_w2(X, Y, method="sorted") == pytest.approx(
-            exact_w2(X, Y, method="assignment"), abs=1e-12)
+        assert exact_w2(X, Y) == pytest.approx(assignment_w2(X, Y), abs=1e-12)
 
     def test_assignment_solver_on_known_matrix(self):
         cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
         cols, total = solve_assignment(cost)
-        brute = min(sum(cost[i, p[i]] for i in range(3))
-                    for p in itertools.permutations(range(3)))
-        assert total == pytest.approx(brute)
+        assert total == pytest.approx(brute_assignment_total(cost))
         assert sorted(cols) == [0, 1, 2]
 
     def test_metric_properties(self):
@@ -420,8 +430,7 @@ class TestExactW2:
         x, y = [0.1, 0.5, 0.9], [0.2, 0.6, 0.7]
         X, Y = np.array(x)[:, None], np.array(y)[:, None]
         assert exact_w2(x, y) == exact_w2(X, Y) == pytest.approx(0.02)
-        assert exact_w2(x, y, method="assignment") == \
-            exact_w2(X, Y, method="assignment")
+        assert assignment_w2(x, y) == assignment_w2(X, Y)
         assert t_eps_k(x, y, 0.5, 5) == t_eps_k(X, Y, 0.5, 5)
         assert exact_w2([[0.0, 0.0]], [[3.0, 4.0]]) == 25.0
 
@@ -452,14 +461,12 @@ class TestExactW2:
             exact_w2(np.zeros((3, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             exact_w2(np.zeros((3, 2)), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            exact_w2(np.zeros((3, 2)), np.zeros((3, 2)), method="sorted")
 
     def test_empty_clouds_rejected(self):
         with pytest.raises(ValueError, match="empty cloud"):
             exact_w2(np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError, match="empty cloud"):
-            exact_w2(np.zeros((0, 1)), np.zeros((0, 1)), method="sorted")
+            exact_w2(np.zeros((0, 1)), np.zeros((0, 1)))
 
     def test_clouds_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -511,10 +518,9 @@ class TestAssignmentSolver:
             n = int(rng.integers(1, 8))
             cost = rng.integers(0, 3, size=(n, n)).astype(float)
             cols, total = solve_assignment(cost)
-            brute = min(sum(cost[i, p[i]] for i in range(n))
-                        for p in itertools.permutations(range(n)))
             assert sorted(cols) == list(range(n))
-            assert total == float(cost[np.arange(n), cols].sum()) == brute
+            assert total == float(cost[np.arange(n), cols].sum()) \
+                == brute_assignment_total(cost)
 
     def test_tied_lattice_clouds_match_brute_method(self):
         # points of {0, 1}^2: squared distances in {0, 1, 2}
@@ -523,8 +529,7 @@ class TestAssignmentSolver:
             n = int(rng.integers(1, 8))
             X = rng.integers(0, 2, size=(n, 2)).astype(float)
             Y = rng.integers(0, 2, size=(n, 2)).astype(float)
-            assert exact_w2(X, Y, method="assignment") == exact_w2(
-                X, Y, method="brute")
+            assert exact_w2(X, Y) == brute_assignment_total(_sq_dists(X, Y)) / n
 
     @pytest.mark.parametrize("n", [1, 5, 64, 300])
     def test_permuted_copy_is_matched_back(self, n):
@@ -574,8 +579,7 @@ class TestComparisonHarness:
 
     def test_slow_regime_flag(self):
         rep = compare_estimators(IID_CFG, 4, 0.5, [16, 32],
-                                 replications=1, base_seed=1,
-                                 k_override=10)
+                                 replications=1, base_seed=1)
         assert rep.regime == "slow"
 
     def test_dimension_floor(self):

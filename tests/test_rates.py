@@ -330,6 +330,15 @@ class TestFiniteClassBound:
             with pytest.raises(ValueError, match="r must exceed 2"):
                 finite_class_bound(1.0, 1.0, 4, 100, IID, r)
 
+    @pytest.mark.parametrize("sigma,b,cardinality", [
+        (math.nan, 1.0, 4), (1.0, math.nan, 4), (1.0, 1.0, math.nan),
+        (1.0, 1.0, 2.5), (1.0, 1.0, True), (0.0, 1.0, 4), (1.0, 1.0, 0),
+    ], ids=["nan_sigma", "nan_b", "nan_cardinality", "fractional_cardinality",
+            "bool_cardinality", "zero_sigma", "zero_cardinality"])
+    def test_nan_or_non_integer_argument_rejected(self, sigma, b, cardinality):
+        with pytest.raises(ValueError, match="sigma and b|cardinality"):
+            finite_class_bound(sigma, b, cardinality, 100, IID, 4.0)
+
 
 class _MemoCoefficients:
     """A profile whose scalar coefficients are computed once per gap, so the
@@ -579,6 +588,14 @@ class TestRateExponent:
 
 
 class TestPiN:
+    @pytest.mark.parametrize("gamma,sigma", [
+        (math.nan, 0.5), (1.0, math.nan), (1.0, 0.0), (0.0, 0.5)],
+        ids=["nan_gamma", "nan_sigma", "zero_sigma", "zero_gamma"])
+    def test_nan_or_zero_argument_rejected(self, gamma, sigma):
+        ent = EntropyModel(alpha=0.5, V=1.0, r=2.0)
+        with pytest.raises(ValueError, match="gamma and sigma must be > 0"):
+            pi_n(ent, gamma, sigma, 4096, enforce_scale=False)
+
     def test_entropy_constant_is_k_times_d(self):
         # pi_n reads the entropy constant K * D, as entropy_eval does
         for alpha, gamma in [(0.5, 2.0), (2.5, 1.0), (5.0, 1.0)]:  # the three cases
@@ -743,6 +760,28 @@ class TestApplicationExponents:
                                      gamma=1.0) == pytest.approx(1.0 / 3.0)
 
 
+    @pytest.mark.parametrize("app,params", [
+        ("dnn", {"s": math.nan, "d": 4, "gamma": 1.0}),
+        ("dnn", {"s": 2.0, "d": math.nan, "gamma": 1.0}),
+        ("dnn", {"s": 2.0, "d": 4, "gamma": math.nan}),
+        ("additive", {"s": math.nan, "gamma": 1.0, "d_as": 0.2}),
+        ("additive", {"s": 1.0, "gamma": math.nan, "d_as": 0.2}),
+        ("additive", {"s": 1.0, "gamma": 1.0, "d_as": math.nan}),
+        ("convex_worst", {"d": 6, "beta": math.nan}),
+        ("convex_worst", {"d": math.nan, "beta": 0.6}),
+        ("convex_adapt", {"d": 10, "gamma": math.nan}),
+        ("convex_adapt", {"d": math.nan, "gamma": 1.5}),
+        ("ot", {"beta": 3.0, "d": math.nan}),
+        ("ot", {"beta": math.nan, "d": 4}),
+        ("classification", {"alpha": math.nan, "gamma": 1.0}),
+        ("classification", {"alpha": 1.0, "gamma": math.nan}),
+    ], ids=lambda x: x if isinstance(x, str)
+        else next(k for k, v in x.items() if math.isnan(v)))
+    def test_nan_parameter_rejected(self, app, params):
+        with pytest.raises(ValueError, match="need|needs"):
+            application_exponents(app, **params)
+
+
 class TestOtSchedule:
     def test_fast_regime(self):
         assert ot_schedule(3.0, 4, 10**4) == (1000, pytest.approx(0.1))
@@ -763,3 +802,10 @@ class TestOtSchedule:
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryParameterError):
             ot_schedule(1.0, 4, 100)
+
+    @pytest.mark.parametrize("beta,d,n", [
+        (math.nan, 4, 100), (3.0, math.nan, 100), (3.0, 4, math.nan)],
+        ids=["nan_beta", "nan_d", "nan_n"])
+    def test_nan_argument_rejected(self, beta, d, n):
+        with pytest.raises(ValueError, match="need d >= 4, beta > 0, n >= 1"):
+            ot_schedule(beta, d, n)
