@@ -12,7 +12,7 @@ import numpy as np
 
 from . import mixing
 from .classes import CdfOracle, sup_halflines, sup_lipschitz_w1
-from .rates import _geometric_bisect, c_phi, lambda_phi_beta
+from .rates import c_phi, lambda_phi_beta
 
 # the extreme points of the monotone [0,1]-valued functions are upper-set
 # indicators, so by complement symmetry their centered supremum is the
@@ -160,22 +160,23 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> flo
         raise ValueError("r must exceed 2")
     values = np.abs(np.asarray(values, dtype=float))
     weights = np.asarray(weights, dtype=float)
-    if np.all(values * weights == 0):
+    # a NaN or an inf makes every probe below False, so the bracket never ends
+    if not (np.isfinite(values).all() and np.isfinite(weights).all()):
+        raise ValueError("values and weights must be finite")
+    if (values * weights == 0).all():
         return 0.0
     # For weights >= 0 and finite r, ok(t) and root = ||h||_r each carry a
     # relative rounding of O(m eps), far inside the band: outside it ok(t)
     # is t > root, so only the probes inside it evaluate the sum
     top = float(values.max())
-    with np.errstate(all="ignore"):
-        root = top * float(np.dot(weights, (values / top) ** r)) ** (1.0 / r)
+    root = top * float(np.dot(weights, (values / top) ** r)) ** (1.0 / r)
     band = 1e-12 * (len(values) + 6) * root
-    if not (np.all(weights >= 0) and math.isfinite(r) and 0 < root < math.inf):
+    if not ((weights >= 0).all() and math.isfinite(r) and 0 < root < math.inf):
         band = math.inf
 
     def ok(t):
-        if abs(t - root) > band:
-            return t > root
-        return float(np.dot(weights, (values / t) ** r)) <= 1.0
+        return t > root if abs(t - root) > band else \
+            float(np.dot(weights, (values / t) ** r)) <= 1.0
 
     hi = max(top, 1e-300)
     lo = hi * 1e-6
@@ -183,7 +184,14 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> flo
         hi *= 2.0
     while ok(lo):
         lo /= 2.0
-    return _geometric_bisect(ok, lo, hi, _ORLICZ_REL_TOL)
+    # rates._geometric_bisect, with ok's comparison inlined
+    while hi / lo > 1.0 + _ORLICZ_REL_TOL:
+        mid = math.sqrt(lo * hi)
+        if mid > root if abs(mid - root) > band else ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -217,18 +225,26 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
         transition=transition, stationary=stationary)
     transition, stationary = profile.transition, profile.stationary
     h = np.asarray(h, dtype=float)
+    if h.shape != stationary.shape or not np.isfinite(h).all():
+        raise ValueError("h must hold one finite number per state")
     hc = h - float(np.dot(stationary, h))
     cov = [float(np.dot(stationary, hc * hc))]  # cov[k] = Cov(h(X_0), h(X_k))
     q_max = max(qs, default=1)
-    pk, powers = np.eye(len(h)), []
-    for k in range(1, q_max):
-        pk = pk @ transition
-        powers.append(pk)
-        if len(powers) * pk.size >= 4096 or k == q_max - 1:
-            # stacked, each P^k meets the gemv and dot kernels of
-            # stationary @ (hc * (P^k @ hc)), so the rounding is the same
-            cov += (stationary @ (hc * (np.array(powers) @ hc))[..., None]).ravel().tolist()
-            powers = []
+    # P^k for k < q_max, a chunk of at most 4096 entries at a time in
+    # powers[1:]; powers[0] carries the chunk's last power into the next
+    chunk = -(-4096 // transition.size)
+    powers = np.empty((min(chunk, q_max - 1) + 1,) + transition.shape)
+    powers[0] = np.eye(len(h))
+    for start in range(1, q_max, chunk):
+        block = powers[:min(chunk, q_max - start) + 1]
+        prev = block[0]
+        for pk in block[1:]:
+            np.dot(prev, transition, out=pk)
+            prev = pk
+        # stacked, each P^k meets the gemv and dot kernels of
+        # stationary @ (hc * (P^k @ hc)), so the rounding is the same
+        cov += (stationary @ (hc * (block[1:] @ hc))[..., None]).ravel().tolist()
+        powers[0] = prev
     lams = lambda_phi_beta(profile, qs, rs).tolist()  # one beta array
     per_r = [(orlicz_norm_finite(h, stationary, ri), c_phi(ri) ** 2) for ri in rs]
     reports = []

@@ -14,6 +14,7 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,8 +61,11 @@ def _check_stochastic(transition: np.ndarray) -> np.ndarray:
 def _gap_list(q, least: int) -> list[int]:
     """Gaps q (an int or a 1-D grid) as Python ints; ValueError unless each is
     an int, not a bool, and >= least."""
-    gaps = np.atleast_1d(q).tolist()
-    if not all(type(g) is int and g >= least for g in gaps):
+    grid = np.atleast_1d(q)
+    gaps = grid.tolist()
+    # an integer grid is read with one min(), anything else gap by gap
+    if not (grid.min(initial=least) >= least if grid.dtype.kind in "iu" and grid.ndim == 1
+            else all(type(g) is int and g >= least for g in gaps)):
         raise ValueError(f"gap q must be an integer >= {least}")
     return gaps
 
@@ -363,12 +367,17 @@ def exact_beta_markov(profile: MixingProfile,
     beta_q = sum_x pi(x) * TV(P^q(x, .), pi), with TV the half-L1 distance,
     and 1 at q = 0 by convention.  ``q`` is an int (a float is returned) or
     a 1-D grid of gaps in any order (an array).  P^q is formed in the order
-    of ``np.linalg.matrix_power``, so the rounding matches it: the product
-    of the repeated squares P^(2^k) over the set bits k of q, low bits
-    first, except P^3 = (P @ P) @ P.  A block of at most 4096 matrix
-    entries is formed at a time, one stacked product per bit, and its row
-    TV distances are reduced together.  A profile of another kind raises
-    ``ValueError``.
+    of ``np.linalg.matrix_power``, so the rounding matches it: with S_j =
+    P^(2^j) the repeated squares and t the top bit of q, P^q = P^(q - 2^t)
+    @ S_t, except P^3 = (P @ P) @ P (as the prefix of a larger gap, P^3
+    stays P @ (P @ P)).  With b the largest power of two such that b
+    matrices hold at most 4096 entries, gap q = k b + r is the prefix P^r
+    times the squares of k's set bits, low bits first.  The prefixes of
+    the residues r in the grid, closed under clearing the top bit, are
+    filled one stacked product per bit level, so each costs one product;
+    the distinct gaps sharing k form one block of at most b matrices, one
+    stacked product per set bit of k, whose row TV distances are reduced
+    together.  A profile of another kind raises ``ValueError``.
     """
     if profile.kind != ProfileKind.EXACT_MARKOV:
         raise ValueError("exact beta needs an exact_markov profile")
@@ -378,26 +387,54 @@ def exact_beta_markov(profile: MixingProfile,
     squares = [transition]
     for _ in range(1, max(gaps, default=0).bit_length()):
         squares.append(squares[-1] @ squares[-1])
-    out = np.ones(len(gaps))
-    nonzero = np.flatnonzero(gaps)
-    block = max(1, 4096 // transition.size)
-    for start in range(0, len(nonzero), block):
-        idx = nonzero[start:start + block]
-        block_gaps = [gaps[j] for j in idx.tolist()]
-        # start at the lowest set bit's square; bit k then multiplies every
-        # power with a lower bit set by P^(2^k), one stacked product whose
-        # slices each meet the kernel of a single product
-        powers = np.array(squares)[[(gap & -gap).bit_length() - 1 for gap in block_gaps]]
-        for k in range(1, len(squares)):
-            sel = [i for i, gap in enumerate(block_gaps)
-                   if gap >> k & 1 and gap & ((1 << k) - 1)]
-            powers[sel] = powers[sel] @ squares[k]
-        three = [i for i, gap in enumerate(block_gaps) if gap == 3]
-        if three:
-            powers[three] = squares[1] @ transition
+    shift = max(0, (4096 // transition.size).bit_length() - 1)
+    low = (1 << shift) - 1
+    # the distinct gaps in order, 0 (beta 1) first: not np.unique, which
+    # imports modules on its first call, nor a set, which holds ~50 B a gap
+    uniq = [gap for gap, _ in groupby(sorted([0, *gaps]))]
+    if uniq == gaps:  # such as an arange: one list, and no index to map back
+        uniq = gaps
+    levels = [[] for _ in range(shift)]
+    need = {0}
+    for gap in uniq:
+        r = gap & low
+        while r not in need:
+            need.add(r)
+            levels[r.bit_length() - 1].append(r)
+            r ^= 1 << (r.bit_length() - 1)
+    prefix = np.empty((low + 1,) + transition.shape)
+    prefix[0] = np.eye(len(pi))  # I @ S == S exactly
+    for t, level in enumerate(map(sorted, levels)):
+        if level and level[-1] - level[0] == len(level) - 1:  # views in and out
+            lo, hi = level[0], level[-1] + 1
+            np.matmul(prefix[lo - (1 << t):hi - (1 << t)], squares[t], out=prefix[lo:hi])
+        elif level:
+            prefix[level] = prefix[[r ^ 1 << t for r in level]] @ squares[t]
+    beta = np.ones(len(uniq))
+    start = 1
+    while start < len(uniq):
+        k = uniq[start] >> shift
+        stop = bisect_left(uniq, (k + 1) << shift, start)
+        block = uniq[start:stop]
+        bits = [shift + t for t in range(k.bit_length()) if k >> t & 1]
+        residues = [gap & low for gap in block]
+        if residues == [0]:  # a lone multiple of b starts at its first square
+            powers = squares[bits.pop(0)][None].copy()  # in C order, as the stack
+        elif residues[-1] - residues[0] == len(residues) - 1:
+            powers = prefix[residues[0]:residues[-1] + 1]
+        else:
+            powers = prefix[residues]
+        for t in bits:
+            # stacked, each slice meets the kernel of a single product
+            powers = powers @ squares[t]
+        if 3 in block[:3]:  # sorted and positive, so 3 is among the first three
+            powers = powers.copy()
+            np.matmul(squares[1], transition, out=powers[block.index(3)])
         tv_rows = 0.5 * np.abs(powers - pi).sum(axis=2)
         # stacked, each row meets the dot kernel of pi @ row
-        out[idx] = (pi @ tv_rows[..., None]).ravel()
+        beta[start:stop] = (pi @ tv_rows[..., None]).ravel()
+        start = stop
+    out = beta if uniq is gaps else beta[np.searchsorted(uniq, gaps)]
     return float(out[0]) if np.ndim(q) == 0 else out
 
 

@@ -73,8 +73,8 @@ def lambda_phi_beta(profile: MixingProfile, q: int | Sequence[int],
     _require_beta(profile)
     coeffs = profile.coefficient(np.arange(max(gaps, default=0) + 1))
     out = np.array([_lambdas(coeffs, gaps, rj) for rj in rs]).T
-    return float(out[0, 0]) if np.ndim(q) == np.ndim(r) == 0 else \
-        out.reshape(np.shape(q) + np.shape(r))
+    shape = np.shape(q) + np.shape(r)
+    return out.reshape(shape) if shape else float(out[0, 0])
 
 
 def _lambdas(coeffs: np.ndarray, gaps: Sequence[int], r: float) -> list[float]:
@@ -329,10 +329,13 @@ def pi_n(entropy: EntropyModel, gamma: float, sigma: float, n: int,
     Cases split on alpha versus r_tilde = min(r, 2) and r_tilde*(1+1/gamma);
     case boundaries are rejected, as are radii below the case's admissible
     scale (unless enforce_scale=False, used by the localization solver whose
-    fixed point sits exactly at the scale floor).
+    fixed point sits exactly at the scale floor).  gamma = inf is the
+    independent-data limit.
     """
     if not (gamma > 0 and sigma > 0):  # negated, so that NaN fails it
         raise ValueError("gamma and sigma must be > 0")
+    if math.isinf(gamma):  # at 2**100, gamma + 1 == gamma and n ** (1 / gamma) == 1:
+        gamma = 2.0 ** 100  # each gamma-ratio below is at its limit up to rounding
     theta, alpha, V = entropy.theta, entropy.alpha, entropy.V
     D = entropy.K * entropy.D  # the entropy constant, as entropy_eval reads it
     r_t = min(entropy.r, 2.0)

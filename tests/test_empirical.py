@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -385,6 +388,72 @@ class TestOrliczNormBisection:
         for r in (2.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="r must exceed 2"):
                 orlicz_norm_finite([1.0, 2.0], [0.5, 0.5], r)
+
+
+NONFINITE_CALLS = {
+    "nan_in_h": "verify_variance_bound(P, pi, [0.0, nan], 3, 4)",
+    "inf_in_h": "verify_variance_bound(P, pi, [0.0, -inf], 3, 4)",
+    "nan_in_values": "orlicz_norm_finite([1.0, nan], [0.5, 0.5], 4)",
+    "nan_in_weights": "orlicz_norm_finite([1.0, 2.0], [nan, 0.5], 4)",
+}
+
+
+@pytest.mark.parametrize("call", NONFINITE_CALLS.values(), ids=NONFINITE_CALLS)
+def test_nonfinite_input_rejected(call):
+    """A NaN or an inf makes every Orlicz probe False, so the bracket search
+    would never end: each call runs in its own interpreter under a timeout
+    and must raise ValueError at entry."""
+    code = ("from math import inf, nan\n"
+            "import numpy as np\n"
+            "from mixrate.empirical import orlicz_norm_finite, verify_variance_bound\n"
+            "P, pi = np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([2.0, 1.0]) / 3.0\n"
+            f"try:\n    {call}\n"
+            "except ValueError as exc:\n    print('ValueError:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(empirical.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=20)
+    assert res.stdout.startswith("ValueError:"), (res.stdout, res.stderr)
+
+
+def test_h_of_another_shape_rejected():
+    P, pi = np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([2.0, 1.0]) / 3.0
+    for h in ([1.0, 2.0, 3.0], [[1.0], [2.0]], 1.0):
+        with pytest.raises(ValueError, match="one finite number per state"):
+            verify_variance_bound(P, pi, h, 3, 4)
+
+
+def frozen_covariance_lhs(transition, stationary, h, q_max):
+    """verify_variance_bound's lhs for q = 1..q_max as computed when P^k was
+    appended to a list and the list stacked every 4096 entries."""
+    hc = h - float(np.dot(stationary, h))
+    cov = [float(np.dot(stationary, hc * hc))]
+    pk, powers = np.eye(len(h)), []
+    for k in range(1, q_max):
+        pk = pk @ transition
+        powers.append(pk)
+        if len(powers) * pk.size >= 4096 or k == q_max - 1:
+            cov += (stationary @ (hc * (np.array(powers) @ hc))[..., None]).ravel().tolist()
+            powers = []
+    lhs = []
+    for q in range(1, q_max + 1):
+        total = q * cov[0]
+        for k in range(1, q):
+            total += 2 * (q - k) * cov[k]
+        lhs.append(total)
+    return lhs
+
+
+@pytest.mark.parametrize("m", [2, 5, 17, 70])
+def test_covariance_chain_matches_frozen_list_of_powers(m):
+    """Up to q = 200 the powers cross the 4096-entry chunk (every 164 powers
+    at m = 5, 15 at m = 17, each one at m = 70)."""
+    P, pi = random_chain(np.random.default_rng(m), m)
+    h = np.random.default_rng(m + 1).normal(size=m)
+    ref = frozen_covariance_lhs(P, pi, h, 200)
+    grid = verify_variance_bound(P, pi, h, range(1, 201), 3)
+    assert [row[0].lhs for row in grid] == ref
+    for q in (1, 2, 15, 16, 164, 165, 200):
+        assert verify_variance_bound(P, pi, h, q, 3).lhs == ref[q - 1]
 
 
 def frozen_stack_pava(y):

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -307,11 +311,11 @@ class TestExactBetaMarkov:
     @pytest.mark.parametrize("m,gaps", [
         (2, [5, 0, 3, 5]),
         (2, [9, 1, 0]),
-        # 20 states: blocks of 10 powers, so the 19 nonzero gaps end in a
-        # partial block
+        # 20 states: blocks of b = 8 gaps, so the gaps spread over sparse
+        # blocks and a lone multiple of b (64)
         (20, [17, 3, 0, 40, 3, 2, 1, 8, 8, 64, 5, 0, 31, 6, 7, 12, 4, 2, 9, 11, 3, 0]),
         (20, []),
-        # 5 states: blocks of 163 powers, each gap's products stacked by bit
+        # 5 states: b = 128, so full blocks of prefixes times squares
         (5, list(range(200, -1, -1)) + [1023, 65535, 99_999, 3, 2**20 + 3]),
     ], ids=["unsorted_repeats", "last_gap_zero", "partial_block", "empty",
             "contiguous_and_large"])
@@ -324,6 +328,50 @@ class TestExactBetaMarkov:
         unsigned = np.array(gaps, dtype=np.uint64)
         assert np.array_equal(
             mixing.exact_beta_markov(prof, unsigned), betas)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17, 18, 26, 66, 70])
+    def test_block_edges_match_matrix_power(self, m):
+        """Gaps around the block length b (the largest power of two with
+        b m^2 <= 4096, so b = 1 from m = 65) and gaps 3 + 2^t, whose prefix
+        P^3 is P @ (P @ P) while gap 3 itself is (P @ P) @ P."""
+        prof = random_chain(np.random.default_rng(m), m)
+        b = 1 << max(0, (4096 // (m * m)).bit_length() - 1)
+        gaps = [b - 1, b, b + 1, 2 * b + 3, 3, 2**20 + 3] + [3 + 2**t for t in range(21)]
+        ref = {q: matrix_power_beta(prof.transition, prof.stationary, q) for q in gaps}
+        assert [mixing.exact_beta_markov(prof, q) for q in gaps] == [ref[q] for q in gaps]
+        rng = np.random.default_rng(m + 1)
+        grid = [gaps[i] for i in rng.integers(len(gaps), size=2 * len(gaps))] + [0]
+        expect = [ref.get(q, 1.0) for q in grid]
+        assert np.array_equal(mixing.exact_beta_markov(prof, grid), expect)
+        assert np.array_equal(
+            mixing.exact_beta_markov(prof, np.array(grid, dtype=np.uint64)), expect)
+        assert mixing.exact_beta_markov(prof, []).shape == (0,)
+
+    def test_long_grid_bounds_memory_and_imports(self):
+        """perfbench's finite_class_bound reads beta at 10,001 gaps of a
+        5-state chain: the traced peak stays under 745 KiB, and its first
+        call imports nothing (np.unique would, lazily)."""
+        code = ("import json, sys, tracemalloc\n"
+                "import numpy as np\n"
+                "from mixrate import mixing, rates\n"
+                "rng = np.random.default_rng(0)\n"
+                "P = rng.random((5, 5)) + 0.05\n"
+                "P /= P.sum(axis=1, keepdims=True)\n"
+                "prof = mixing.MixingProfile(kind=mixing.ProfileKind.EXACT_MARKOV,\n"
+                "    transition=P, stationary=mixing.stationary_distribution(P))\n"
+                "before = set(sys.modules)\n"
+                "rates.finite_class_bound(1.0, 1.0, 100, 10_000, prof, 4.0)\n"
+                "loaded = sorted(set(sys.modules) - before)\n"
+                "tracemalloc.start()\n"
+                "rates.finite_class_bound(1.0, 1.0, 100, 10_000, prof, 4.0)\n"
+                "print(json.dumps([loaded, tracemalloc.get_traced_memory()[1]]))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixing.__file__)))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        loaded, peak = json.loads(res.stdout)
+        assert loaded == []
+        assert peak <= 745 * 1024
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -696,8 +744,8 @@ class TestCoefficientsArray:
     @pytest.mark.parametrize("m", [2, 5, 20, 70])
     def test_exact_markov_bit_identical(self, m):
         # q_max = 300 spans the q = 3 shortcut of matrix_power and every
-        # power of two up to 256; the sizes give blocks of 300, 163, 10
-        # and 1 powers
+        # power of two up to 256; the sizes give blocks of b = 1024, 128, 8
+        # and 1 gaps
         rng = np.random.default_rng(m)
         for prof in (random_chain(rng, m), random_chain(rng, m)):
             ref = [matrix_power_beta(prof.transition, prof.stationary, q)

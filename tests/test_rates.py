@@ -596,6 +596,31 @@ class TestPiN:
         with pytest.raises(ValueError, match="gamma and sigma must be > 0"):
             pi_n(ent, gamma, sigma, 4096, enforce_scale=False)
 
+    @pytest.mark.parametrize("alpha,V,r", [
+        (0.5, 1.0, 2.0), (0.0, 0.0, 4.0), (2.5, 1.0, 2.0), (5.0, 1.5, 1.5)])
+    def test_infinite_gamma_is_the_independent_limit(self, alpha, V, r):
+        """gamma = inf means independent data, as in application_exponents:
+        the bound is finite, within 1e-9 of gamma = 1e12, and equal to the
+        gamma -> inf limit of its terms in closed form."""
+        ent = EntropyModel(K=1.5, D=2.0, theta=0.8, alpha=alpha, V=V, r=r)
+        sigma, n = 0.5, 4096
+        limit = pi_n(ent, math.inf, sigma, n, enforce_scale=False)
+        assert math.isfinite(limit)
+        assert limit == pytest.approx(pi_n(ent, 1e12, sigma, n, enforce_scale=False),
+                                      rel=1e-9)
+        D, r_t = ent.K * ent.D, min(r, 2.0)
+        log_s = math.log(ent.B / sigma)
+        base = D * (ent.theta / sigma) ** alpha * log_s ** V
+        vc = sigma ** (r_t / 2) * base ** 0.5
+        if alpha < r_t:
+            closed = vc + base / math.sqrt(n)
+        else:
+            lead = (n ** ((alpha - r_t) / (2 * (alpha + 2 - r_t)))
+                    * (D * ent.theta ** alpha) ** (1 / (alpha + 2 - r_t))
+                    * log_s ** (V / 2))
+            closed = 2 * lead + base / math.sqrt(n) + vc
+        assert limit == pytest.approx(closed, rel=1e-12)
+
     def test_entropy_constant_is_k_times_d(self):
         # pi_n reads the entropy constant K * D, as entropy_eval does
         for alpha, gamma in [(0.5, 2.0), (2.5, 1.0), (5.0, 1.0)]:  # the three cases
