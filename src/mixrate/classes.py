@@ -113,8 +113,9 @@ def sup_halflines(sample: Sequence[float], cdf_oracle: CdfOracle) -> float:
     if n == 0:
         raise ValueError("empty sample")
     f = np.asarray(cdf_oracle.cdf(x), dtype=float)
-    d_plus = np.max(np.arange(1, n + 1) / n - f)
-    d_minus = np.max(f - np.arange(0, n) / n)
+    level = np.arange(n + 1) / n
+    d_plus = np.max(level[1:] - f)
+    d_minus = np.max(f - level[:-1])
     return math.sqrt(n) * float(max(d_plus, d_minus))
 
 

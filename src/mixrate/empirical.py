@@ -165,13 +165,20 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> flo
         raise ValueError("values and weights must be finite")
     if (values * weights == 0).all():
         return 0.0
+    signed = not (weights >= 0).all()
+    if signed:
+        # sum w |v|^r <= 0 makes E (h/t)^r <= 1 at every t, so the gauge is
+        # its infimum; the sign is read relative to the largest weighted |v|
+        v, w = values[weights != 0], weights[weights != 0]
+        if not float(np.dot(w, (v / v.max()) ** r)) > 0:
+            return 0.0
     # For weights >= 0 and finite r, ok(t) and root = ||h||_r each carry a
     # relative rounding of O(m eps), far inside the band: outside it ok(t)
     # is t > root, so only the probes inside it evaluate the sum
     top = float(values.max())
     root = top * float(np.dot(weights, (values / top) ** r)) ** (1.0 / r)
     band = 1e-12 * (len(values) + 6) * root
-    if not ((weights >= 0).all() and math.isfinite(r) and 0 < root < math.inf):
+    if signed or not (math.isfinite(r) and 0 < root < math.inf):
         band = math.inf
 
     def ok(t):

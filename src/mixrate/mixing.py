@@ -4,6 +4,14 @@ Every generator is a pure function of its parameters and a 64-bit seed, so
 samples can be regenerated bit-identically.  Where the construction permits
 it, the sample carries an exact mixing oracle (a :class:`MixingProfile`)
 describing the decay of its dependence coefficients.
+
+A finite Markov path is drawn a bounded chunk of uniforms at a time, and
+block-speculatively within a chunk: every block of steps is first run from
+the chunk's start state, all blocks at once, and a block whose true start
+differs is then rerun step by step only until it meets that path (chains
+driven by the same uniforms move together once they meet).  Renewal block
+lengths are counted against the first few entries of the length CDF, and
+searched for in the whole CDF only when a draw lies past them.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,9 +71,15 @@ def _gap_list(q, least: int) -> list[int]:
     an int, not a bool, and >= least."""
     grid = np.atleast_1d(q)
     gaps = grid.tolist()
-    # an integer grid is read with one min(), anything else gap by gap
-    if not (grid.min(initial=least) >= least if grid.dtype.kind in "iu" and grid.ndim == 1
-            else all(type(g) is int and g >= least for g in gaps)):
+    # an integer array is read with one min(), anything else gap by gap as
+    # given, since numpy reads [True, 2] as an integer array
+    if isinstance(q, (np.ndarray, np.integer)) and grid.dtype.kind in "iu":
+        ok = grid.ndim == 1 and grid.min(initial=least) >= least
+    else:
+        ok = grid.ndim == 1 and all(
+            isinstance(g, numbers.Integral) and not isinstance(g, bool) and g >= least
+            for g in (q if np.ndim(q) else [q]))
+    if not ok:
         raise ValueError(f"gap q must be an integer >= {least}")
     return gaps
 
@@ -191,7 +205,10 @@ class SequenceSample:
 
 
 # steps per chunk of uniforms in gen_finite_markov, so memory stays bounded
-_MARKOV_CHUNK = 2**10
+_MARKOV_CHUNK = 2**16
+# steps per speculative block of _markov_steps; fewer than 16 blocks, or
+# chains of more than 64 states, cost more to speculate than to step in turn
+_MARKOV_BLOCK = 256
 
 
 def _inverse_cdf(p: np.ndarray) -> np.ndarray:
@@ -205,17 +222,57 @@ def _inverse_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _markov_steps(rows, state: int, u) -> list[int]:
+def _markov_steps(rows, state: int, u) -> np.ndarray:
     """States after each of len(u) steps from ``state``.
 
-    Step i moves s to ``bisect_left(rows[s], u[i])``, the state that
-    ``np.searchsorted(rows[s], u[i])`` draws; ``rows`` are the row CDFs,
-    as nested lists or an array.
+    Step i moves s to the number of entries of the row CDF ``rows[s]``
+    below u[i]: on a non-decreasing row, ``bisect_left(rows[s], u[i])``,
+    the state that ``np.searchsorted(rows[s], u[i])`` draws.  ``rows`` is
+    an (m, m) array.  The steps are cut into blocks of ``_MARKOV_BLOCK``.
+    Every block is first run from ``state``, all blocks at once, one
+    vectorised count per position.  Then the blocks are chained in order:
+    a block whose true start differs is rerun step by step, by
+    ``bisect_left`` on the sorted rows (the same count), only until it
+    meets its speculative path, since chains driven by the same uniforms
+    move together once they meet.  Steps past the last block run in turn.
     """
-    path = []
-    for x in u:
-        state = bisect_left(rows[state], x)
-        path.append(state)
+    rows = np.sort(rows, axis=-1)
+    lists = rows.tolist()
+    u = np.asarray(u, dtype=float)
+    width = _MARKOV_BLOCK
+    blocks = len(u) // width if len(u) >= 16 * width and len(rows) <= 64 else 0
+    path = np.empty(len(u), dtype=np.intp)
+    spec = path[:blocks * width].reshape(blocks, width)
+    draws = u[:blocks * width].reshape(blocks, width)
+    # the last entry of a sorted row is at least 1.0 > u, so it never counts
+    head = rows[:, :-1].T.copy()
+    prev = np.full(blocks, state)
+    for j in range(width if blocks else 0):
+        # a contiguous copy of the strided column compares faster
+        spec[:, j] = prev = np.add.reduce(head.take(prev, axis=1) < draws[:, j].copy(),
+                                          axis=0, dtype=np.intp)
+    start = state
+    for k, end in enumerate(prev.tolist()):
+        if state != start:
+            rerun = []
+            # read in pieces of 32 steps: most blocks meet within a few
+            pairs = chain.from_iterable(
+                zip(draws[k, i:i + 32].tolist(), spec[k, i:i + 32].tolist())
+                for i in range(0, width, 32))
+            for x, guess in pairs:
+                state = bisect_left(lists[state], x)
+                if state == guess:
+                    break
+                rerun.append(state)
+            spec[k, :len(rerun)] = rerun
+            if len(rerun) == width:  # never met: its end is the true one
+                continue
+        state = end
+    rest = []
+    for x in u[blocks * width:].tolist():
+        state = bisect_left(lists[state], x)
+        rest.append(state)
+    path[blocks * width:] = rest
     return path
 
 
@@ -235,15 +292,14 @@ def gen_finite_markov(transition, state_values, n: int, seed: int) -> SequenceSa
     pi = stationary_distribution(transition)
     rng = np.random.default_rng(seed)
     # inverse-CDF sampling against precomputed row CDFs
-    rows = _inverse_cdf(transition).tolist()
+    rows = _inverse_cdf(transition)
     state = int(np.searchsorted(_inverse_cdf(pi), rng.random()))
     values = np.empty(n)
     values[0] = state_values[state]
     for start in range(1, n, _MARKOV_CHUNK):
-        u = rng.random(min(_MARKOV_CHUNK, n - start)).tolist()
-        path = _markov_steps(rows, state, u)
+        path = _markov_steps(rows, state, rng.random(min(_MARKOV_CHUNK, n - start)))
         values[start:start + len(path)] = state_values[path]
-        state = path[-1]
+        state = int(path[-1])
     oracle = MixingProfile(kind=ProfileKind.EXACT_MARKOV, flavor=MixingFlavor.BETA,
                            transition=transition, stationary=pi)
     return SequenceSample(values=values, mixing_oracle=oracle)
@@ -259,6 +315,11 @@ def _residual_life_pmf(pmf: np.ndarray) -> np.ndarray:
     # stationary residual-life law: P(R = j) = P(L >= j) / E[L]
     tail = pmf[::-1].cumsum()[::-1]
     return tail / tail.sum()
+
+
+# block-length CDF entries gen_renewal_chain compares each draw with before
+# it searches the whole CDF; searchsorted costs ~15 ns a draw even on four
+_RENEWAL_HEAD = 4
 
 
 @functools.lru_cache(maxsize=8)
@@ -299,16 +360,24 @@ def gen_renewal_chain(tail_exponent: float, l_max: int, n: int, seed: int) -> Se
     rng = np.random.default_rng(seed)
     length_cdf, residual_cdf, mean_len = _renewal_tables(tail_exponent, l_max)
     first = int(residual_cdf.searchsorted(rng.random(), side="right")) + 1
+    head = length_cdf[:_RENEWAL_HEAD, None]
     batches = [np.array([first])]
     total = first
     while total < n:
         want = max(16, int((n - total) / mean_len * 1.5) + 8)
-        batch = length_cdf.searchsorted(rng.random(want), side="right") + 1
+        u = rng.random(want)
+        # the entries <= u are counted in the head, one comparison per entry,
+        # and searched for in the whole CDF only for draws past the head
+        batch = np.add.reduce(head <= u, axis=0, dtype=np.intp)
+        past = np.flatnonzero(batch == _RENEWAL_HEAD)
+        batch[past] = length_cdf.searchsorted(u[past], side="right")
+        batch += 1
         batches.append(batch)
         total += int(batch.sum())
+    # values for the blocks that cover the n steps, the first of the stream
     lengths = np.concatenate(batches)
-    vals = rng.random(len(lengths))
-    series = np.repeat(vals, lengths)[:n]
+    used = int(lengths.cumsum().searchsorted(n)) + 1
+    series = np.repeat(rng.random(used), lengths[:used])[:n]
     oracle = MixingProfile(kind=ProfileKind.POLYNOMIAL, flavor=MixingFlavor.BETA,
                            scale=1.0, exponent=tail_exponent)
     return SequenceSample(values=series, mixing_oracle=oracle)
@@ -442,12 +511,18 @@ def _rank_bins(values: np.ndarray, m_bins: int) -> np.ndarray:
     # equal-frequency binning: the value of rank r goes to bin r * m_bins // n,
     # i.e. bin b holds ranks ceil(b n / m_bins) .. ceil((b + 1) n / m_bins) - 1;
     # ties broken by original index (stable sort)
+    # stored narrow enough for the lag keys b * m_bins + b' (at most m_bins^2 - 1)
     n = len(values)
     order = np.argsort(values, kind="stable")
-    bins = np.empty(n, dtype=np.int64)
+    bins = np.empty(n, dtype=np.min_scalar_type(m_bins * m_bins - 1))
     for b in range(m_bins):
         bins[order[-(-b * n // m_bins):-(-(b + 1) * n // m_bins)]] = b
     return bins
+
+
+# lag pairs per bincount in estimate_beta_binning, so its int64 copy of the
+# keys stays small
+_PAIR_SLICE = 2**16
 
 
 def _check_binning(n: int, gaps: np.ndarray, m_bins: int) -> None:
@@ -476,10 +551,13 @@ def estimate_beta_binning(sample: SequenceSample, q: int | Sequence[int],
     _check_binning(n, np.atleast_1d(q), m_bins)
     gaps = _gap_list(q, 1)
     bins = _rank_bins(values, m_bins)
+    rows = bins * m_bins
     out = np.empty(len(gaps))
     for j, gap in enumerate(gaps):
-        counts = np.bincount(bins[: n - gap] * m_bins + bins[gap:],
-                             minlength=m_bins * m_bins)
+        left, right = rows[:n - gap], bins[gap:]
+        counts = sum(np.bincount(left[lo:lo + _PAIR_SLICE] + right[lo:lo + _PAIR_SLICE],
+                                 minlength=m_bins * m_bins)
+                     for lo in range(0, n - gap, _PAIR_SLICE))
         joint = counts.reshape(m_bins, m_bins) / counts.sum()
         pa = joint.sum(axis=1)
         pb = joint.sum(axis=0)

@@ -383,6 +383,19 @@ class TestOrliczNormBisection:
                 assert orlicz_norm_finite(values, weights, r) == \
                     frozen_orlicz_norm_finite(values, weights, r)
 
+    @pytest.mark.filterwarnings("error")
+    def test_signed_weights_without_positive_sum_give_zero(self):
+        """With sum w |v|^r <= 0, E (h/t)^r <= 1 holds at every t, so the
+        gauge is its infimum 0 (the bisection used to end where (v/t)^r
+        overflowed, at ~1.8e-103 for the first case, with warnings).  A
+        zero weight on the largest |v| does not enter the sign."""
+        for values, weights, r in (([1.0, 2.0], [0.5, -0.5], 3),
+                                   ([1.0, 2.0], [0.5, -0.5], math.inf),
+                                   ([1.0, 1.0], [0.5, -0.5], 4),
+                                   ([5.0, 2.0, 1.0], [0.0, -0.5, 0.7], 3),
+                                   ([-3.0, 1.0], [-1.0, 2.0], 8)):
+            assert orlicz_norm_finite(values, weights, r) == 0.0
+
     def test_r_checked_at_entry(self):
         # with r = NaN every probe is False, so the bracket search never ends
         for r in (2.0, 1.5, math.nan):

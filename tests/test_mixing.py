@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -91,7 +93,7 @@ def loop_gen_finite_markov(transition, state_values, n, seed):
 
 
 class TestMarkovScan:
-    """The chunked per-step bisect must reproduce the searchsorted loop bit for bit."""
+    """The block-speculative sampler must reproduce the searchsorted loop bit for bit."""
 
     @staticmethod
     def check(m, n):
@@ -143,6 +145,110 @@ class TestMarkovScan:
         assert np.searchsorted(pi_cdf, 1 - 1e-13) == 1
 
 
+def loop_markov_steps(row_cdf, state, u):
+    # reference: each step moves to the number of row-CDF entries below u
+    path = []
+    for x in u:
+        state = int(np.count_nonzero(row_cdf[state] < x))
+        path.append(state)
+    return path
+
+
+def sticky_chain(m, stay=0.9):
+    P = np.full((m, m), (1.0 - stay) / (m - 1))
+    np.fill_diagonal(P, stay)
+    return P
+
+
+class TestBlockSpeculation:
+    """Blocks run from the chunk's start state, then reruns until each meets
+    its speculative path: every edge of that scheme against the reference."""
+
+    @pytest.mark.parametrize("blocks", [16, 17])
+    @pytest.mark.parametrize("m", [2, 3, 9])
+    def test_block_edges(self, m, blocks):
+        # fewer than 16 blocks step in turn; k B - 1, k B and k B + 1 steps
+        # leave a partial block of B - 1, none and one step
+        row_cdf = mixing._inverse_cdf(sticky_chain(m))
+        width = mixing._MARKOV_BLOCK
+        for steps in (blocks * width - 1, blocks * width, blocks * width + 1):
+            u = np.random.default_rng(steps).random(steps)
+            for state in range(m):
+                path = mixing._markov_steps(row_cdf, state, u)
+                assert path.tolist() == loop_markov_steps(row_cdf, state, u)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_chunk_edges(self, m):
+        # n - 1 steps: one chunk less one step, 16 blocks less one step (no
+        # speculation), and 16 blocks
+        P = sticky_chain(m)
+        values = np.linspace(-1.0, 1.0, m)
+        chunk, width = mixing._MARKOV_CHUNK, mixing._MARKOV_BLOCK
+        for n in (chunk, 16 * width, 16 * width + 1):
+            got = mixing.gen_finite_markov(P, values, n, seed=n).values
+            assert np.array_equal(got, loop_gen_finite_markov(P, values, n, seed=n))
+
+    def test_never_coalescing_chain_across_blocks(self):
+        # a deterministic 5-cycle: chains from different states never meet,
+        # so every block whose true start differs is rerun to its end
+        perm = np.array([2, 4, 1, 0, 3])
+        row_cdf = mixing._inverse_cdf(np.eye(5)[perm])
+        steps = 40 * mixing._MARKOV_BLOCK + 5
+        u = np.random.default_rng(5).random(steps)
+        for start in range(5):
+            expect, state = [], start
+            for _ in range(steps):
+                state = int(perm[state])
+                expect.append(state)
+            assert mixing._markov_steps(row_cdf, start, u).tolist() == expect
+
+    def test_slowly_coalescing_chain(self):
+        # a 3-cycle kept with probability 0.98: chains meet after ~50 steps
+        P = np.full((3, 3), 0.01)
+        P[[0, 1, 2], [1, 2, 0]] = 0.98
+        n = mixing._MARKOV_CHUNK + 2
+        got = mixing.gen_finite_markov(P, [0.0, 1.0, 2.0], n, seed=9).values
+        assert np.array_equal(got, loop_gen_finite_markov(P, [0.0, 1.0, 2.0], n, seed=9))
+
+    def test_one_state(self):
+        for n in (1, 16 * mixing._MARKOV_BLOCK + 1, mixing._MARKOV_CHUNK + 2):
+            assert np.array_equal(mixing.gen_finite_markov([[1.0]], [0.7], n, seed=1).values,
+                                  np.full(n, 0.7))
+        u = np.random.default_rng(1).random(16 * mixing._MARKOV_BLOCK + 3)
+        assert not mixing._markov_steps(np.array([[1.0]]), 0, u).any()
+
+    def test_dipping_row_counts_entries_below(self):
+        """The stochasticity check admits an entry of -1e-13, where the row
+        CDF dips.  Inside the dip the number of entries below u differs
+        from bisect_left on the unsorted row; both the vectorised steps and
+        the reruns count the entries below u."""
+        P = np.array([[0.5, -1e-13, 0.5 + 1e-13], [0.3, 0.3, 0.4], [0.2, 0.3, 0.5]])
+        assert mixing._check_stochastic(P) is not None
+        row_cdf = mixing._inverse_cdf(P)
+        assert row_cdf[0, 1] < row_cdf[0, 0]
+        dip = (row_cdf[0, 0] + row_cdf[0, 1]) / 2
+        assert row_cdf[0, 1] < dip < row_cdf[0, 0]
+        assert np.count_nonzero(row_cdf[0] < dip) == 1
+        assert bisect_left(row_cdf[0].tolist(), dip) == 2
+        u = np.random.default_rng(3).random(40 * mixing._MARKOV_BLOCK + 9)
+        u[::3] = dip
+        for state in range(3):
+            path = mixing._markov_steps(row_cdf, state, u)
+            assert path.tolist() == loop_markov_steps(row_cdf, state, u)
+
+    def test_memory_stays_bounded(self):
+        # uniforms and states a chunk at a time: the traced peak is the
+        # output plus about 2 MiB at n = 2^19
+        mixing.gen_finite_markov(P_LAZY, [0.0, 1.0], 5000, seed=0)
+        tracemalloc.start()
+        try:
+            sample = mixing.gen_finite_markov(P_LAZY, [0.0, 1.0], 2**19, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sample.values.nbytes + 2 * 2**20
+
+
 def loop_gen_renewal_chain(tail_exponent, l_max, n, seed):
     # reference: block lengths drawn by Generator.choice(p=)
     rng = np.random.default_rng(seed)
@@ -161,7 +267,8 @@ def loop_gen_renewal_chain(tail_exponent, l_max, n, seed):
 
 class TestRenewalTables:
     @pytest.mark.parametrize("tail,l_max", [(0.5, 10**5), (2.0, 100), (0.3, 10),
-                                            (0.5, 1)])
+                                            (0.5, 1), (0.3, 3), (0.3, 4), (0.3, 5),
+                                            (0.5, 31), (0.5, 32), (0.5, 33)])
     @pytest.mark.parametrize("n", [1, 10, 1000, 16384])
     def test_bit_identical_to_choice(self, tail, l_max, n):
         for seed in (0, 1, 2):
@@ -405,7 +512,33 @@ def loop_estimate_beta_binning(values, q, m_bins):
                                                  joint.sum(axis=0))).sum())
 
 
+def frozen_estimate_beta_binning(values, q, m_bins):
+    # the estimator before lag pairs were counted in narrow keys and slices:
+    # int64 bins and one full-length bincount per gap
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    bins = np.empty(n, dtype=np.int64)
+    for b in range(m_bins):
+        bins[order[-(-b * n // m_bins):-(-(b + 1) * n // m_bins)]] = b
+    counts = np.bincount(bins[: n - q] * m_bins + bins[q:], minlength=m_bins * m_bins)
+    joint = counts.reshape(m_bins, m_bins) / counts.sum()
+    return float(0.5 * np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))).sum())
+
+
 class TestEstimateBetaBinning:
+    @pytest.mark.parametrize("m_bins", [2, 3, 15, 16, 17, 256])
+    def test_matches_frozen_int64_estimator(self, m_bins):
+        """Bins in np.min_scalar_type(m_bins^2 - 1) (uint8 up to 16 bins)
+        and lag pairs counted in slices of _PAIR_SLICE: gaps put n - q one
+        below, on and one above a slice edge; ties (blocks of four equal
+        values) go by the stable sort."""
+        width = mixing._PAIR_SLICE
+        n = max(10 * m_bins * m_bins, 3 * width) + 2
+        values = np.repeat(np.random.default_rng(m_bins).random(n // 4 + 1), 4)[:n]
+        edge = n % width + width  # n - edge is a multiple of the slice
+        gaps = [1, 2, 7, edge - 1, edge, edge + 1]
+        got = mixing.estimate_beta_binning(mixing.SequenceSample(values), gaps, m_bins)
+        assert got.tolist() == [frozen_estimate_beta_binning(values, q, m_bins) for q in gaps]
     def test_iid_uniform_near_zero(self):
         s = mixing.gen_iid_uniform(10**5, seed=3)
         assert mixing.estimate_beta_binning(s, 5, 8) <= 0.03
@@ -572,6 +705,25 @@ class TestCoefficientGaps:
         assert grid.tolist() == [prof.coefficient(q) for q in gaps]
         assert isinstance(prof.coefficient(np.int64(3)), float)
         assert prof.coefficient([]).shape == (0,)
+
+    @pytest.mark.parametrize("q", [[True, 2], (2, True), [np.True_, 2], (3, 1, True)],
+                             ids=["list", "tuple", "numpy_bool", "long_tuple"])
+    def test_bool_inside_a_grid_rejected(self, q):
+        # numpy reads [True, 2] as an integer array, so the check reads the
+        # grid as given; a bool is rejected inside a grid as on its own
+        with pytest.raises(ValueError, match="gap q must be an integer >= 0"):
+            mixing._gap_list(q, 0)
+        with pytest.raises(ValueError, match="gap q must be an integer >= 0"):
+            mixing.exact_beta_markov(markov_profile(P_LAZY, PI_LAZY), q)
+        s = mixing.gen_finite_markov(P_LAZY, np.array([0.0, 1.0]), 2000, seed=1)
+        with pytest.raises(ValueError, match="gap q must be an integer"):
+            mixing.estimate_beta_binning(s, q, 2)
+
+    def test_integer_grids_accepted(self):
+        for q in ([1, 2], (1, 2), range(1, 3), np.array([1, 2]), np.array([1, 2], dtype=np.uint8),
+                  [np.int64(1), 2], np.array([1, 2], dtype=object)):
+            assert mixing._gap_list(q, 1) == [1, 2]
+        assert mixing._gap_list(np.int64(3), 0) == [3]
 
 
 def as_given(prof, transition, stationary):
