@@ -1,4 +1,4 @@
-"""Bracketing-entropy models, bracketing calculus, and exact supremum oracles.
+"""Bracketing-entropy models and exact supremum oracles.
 
 The entropy model is the parametric bound
 ``H(u) = K * D * (theta/u)**alpha * log(B/u)**V`` on a bracketing entropy,
@@ -12,7 +12,7 @@ Kantorovich-Rubinstein / W1 form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,16 +58,6 @@ def entropy_eval(model: EntropyModel, u: float) -> float:
         raise ValueError(f"scale u must lie in (0, sigma={model.sigma}], got {u}")
     return (model.K * model.D * (model.theta / u) ** model.alpha
             * math.log(model.B / u) ** model.V)
-
-
-def lipschitz_compose(model: EntropyModel, L: float) -> EntropyModel:
-    """Entropy of the class composed with a monotone L-Lipschitz map, or
-    multiplied by a fixed function g with L = sup |g|: H(u/L)."""
-    if L <= 0:
-        raise ValueError("Lipschitz constant must be > 0")
-    # H(u/L) = K D (L theta / u)^alpha (log(L B / u))^V on (0, L sigma]
-    return replace(model, theta=model.theta * L, B=model.B * L,
-                   sigma=model.sigma * L, b=max(model.b * L, model.sigma * L))
 
 
 # ---------------------------------------------------------------------------

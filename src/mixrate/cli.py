@@ -333,6 +333,7 @@ def _check_semantics(command: str, cfg: dict) -> None:
         mixing._check_binning(cfg["n"], np.asarray(cfg["q_grid"]), cfg["m_bins"])
     if command == "ot-bench":
         rates.ot_schedule(cfg["beta"], cfg["d"], min(cfg["n_grid"]))
+        ot._check_seeds(len(cfg["n_grid"]), cfg["d"], cfg["replications"])
 
 
 _COMMANDS = {"rates": _cmd_rates, "phase": _cmd_phase, "simulate": _cmd_simulate,

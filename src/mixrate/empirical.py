@@ -165,12 +165,15 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> flo
         raise ValueError("values and weights must be finite")
     if (values * weights == 0).all():
         return 0.0
+    if not weights.all():
+        # an atom of weight 0 carries no mass: it must not set the bracket,
+        # nor turn (v/t)^r into 0 * inf = nan
+        values, weights = values[weights != 0], weights[weights != 0]
     signed = not (weights >= 0).all()
     if signed:
         # sum w |v|^r <= 0 makes E (h/t)^r <= 1 at every t, so the gauge is
-        # its infimum; the sign is read relative to the largest weighted |v|
-        v, w = values[weights != 0], weights[weights != 0]
-        if not float(np.dot(w, (v / v.max()) ** r)) > 0:
+        # its infimum; the sign is read relative to the largest |v|
+        if not float(np.dot(weights, (values / values.max()) ** r)) > 0:
             return 0.0
     # For weights >= 0 and finite r, ok(t) and root = ||h||_r each carry a
     # relative rounding of O(m eps), far inside the band: outside it ok(t)
@@ -272,6 +275,16 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
 # Isotonic ERM demonstration
 
 
+def _check_seed_rule(offsets, replications: int, per_replica: int = 1) -> None:
+    """Reject a seed rule that gives replica rep at each offset o the seeds
+    o + per_replica * rep + (0, ..., per_replica - 1) when two of them
+    coincide, that is when two offsets lie closer than the seeds they span."""
+    room = np.diff(np.sort(np.ravel(offsets))) // per_replica
+    if room.size and room.min() < replications:
+        raise ValueError(f"{replications} replications repeat a seed; this seed "
+                         f"rule holds at most {room.min()}")
+
+
 def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,
                    base_seed: int = 0) -> SlopeFit:
     """Mean squared error of the isotonic least-squares fit of a monotone
@@ -282,6 +295,8 @@ def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,
     """
     from scipy.optimize import isotonic_regression
 
+    # replica rep at size index idx draws seed base_seed + 1000 idx + rep
+    _check_seed_rule(1000 * np.arange(len(n_grid)), replications)
     points = []
     ses = []
     for idx, n in enumerate(n_grid):

@@ -190,7 +190,11 @@ class MixingProfile:
 
     @staticmethod
     def iid() -> "MixingProfile":
-        return MixingProfile(kind=ProfileKind.TABULATED, values=np.array([1.0]))
+        """The one i.i.d. profile (β = 0 at every gap q >= 1), shared."""
+        return _IID
+
+
+_IID = MixingProfile(kind=ProfileKind.TABULATED, values=np.array([1.0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,24 +387,6 @@ def gen_renewal_chain(tail_exponent: float, l_max: int, n: int, seed: int) -> Se
     return SequenceSample(values=series, mixing_oracle=oracle)
 
 
-def renewal_age_value_chain(tail_exponent: float, l_max: int, n_values: int):
-    """Exact finite-state (residual-life, value) chain for the renewal DGP.
-
-    Values are discretized to ``n_values`` equiprobable levels.  Returns
-    (transition, stationary, state_values) with states ordered as
-    (residual r = 1..l_max) x (value v = 0..n_values-1).
-    """
-    pmf = _block_length_pmf(tail_exponent, l_max)
-    resid = _residual_life_pmf(pmf)
-    # residual r > 1 steps down to r - 1 keeping its value; residual 1 starts
-    # a fresh block, of residual life L ~ pmf and an independent value
-    trans = np.eye(l_max * n_values, k=-n_values)
-    trans[:n_values] = np.repeat(pmf / n_values, n_values)
-    pi = np.repeat(resid, n_values) / n_values
-    state_values = np.tile((np.arange(n_values) + 0.5) / n_values, l_max)
-    return trans, pi, state_values
-
-
 def gen_ar1(a: float, n: int, seed: int) -> SequenceSample:
     """Stationary Gaussian AR(1); exponential mixing with |a|^q decay."""
     if abs(a) >= 1:
@@ -487,9 +473,7 @@ def exact_beta_markov(profile: MixingProfile,
         block = uniq[start:stop]
         bits = [shift + t for t in range(k.bit_length()) if k >> t & 1]
         residues = [gap & low for gap in block]
-        if residues == [0]:  # a lone multiple of b starts at its first square
-            powers = squares[bits.pop(0)][None].copy()  # in C order, as the stack
-        elif residues[-1] - residues[0] == len(residues) - 1:
+        if residues[-1] - residues[0] == len(residues) - 1:
             powers = prefix[residues[0]:residues[-1] + 1]
         else:
             powers = prefix[residues]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .empirical import generate, slope_fit
+from .empirical import _check_seed_rule, generate, slope_fit
 from .mixing import _check_count
 from .rates import ot_schedule
 
@@ -283,6 +283,13 @@ def gen_cloud(dgp_cfg: dict, n: int, d: int, seed: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _check_seeds(n_sizes: int, d: int, replications: int) -> None:
+    """Raise ValueError when two axes of ``compare_estimators`` share a seed:
+    axis j at size index i draws base_seed + 10_000 i + 7919 j + 2 rep (+ 1 in Y)."""
+    _check_seed_rule(10_000 * np.arange(n_sizes)[:, None] + 7919 * np.arange(d),
+                     replications, per_replica=2)
+
+
 def compare_estimators(dgp_pair_cfg: dict, d: int, beta: float, n_grid,
                        replications: int = 1, base_seed: int = 0) -> OtComparisonReport:
     """Exact assignment baseline versus Sinkhorn divergence at the
@@ -290,6 +297,7 @@ def compare_estimators(dgp_pair_cfg: dict, d: int, beta: float, n_grid,
     boundary 2/(d-2)), with wall-clock power-law fits."""
     n_grid = np.asarray(list(n_grid), dtype=int)
     schedules = [ot_schedule(beta, d, int(n)) for n in n_grid]
+    _check_seeds(len(n_grid), d, replications)
     exact_vals = np.empty(len(n_grid))
     sink_vals = np.empty(len(n_grid))
     exact_t = np.empty(len(n_grid))

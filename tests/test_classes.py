@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixrate import classes
-from mixrate.classes import (CdfOracle, EntropyModel, entropy_eval,
-                             lipschitz_compose, sup_halflines, sup_lipschitz_w1,
-                             uniform01_cdf)
+from mixrate.classes import (CdfOracle, EntropyModel, entropy_eval, sup_halflines,
+                             sup_lipschitz_w1, uniform01_cdf)
 from mixrate.empirical import _STATISTICS
 
 sup_monotone = _STATISTICS["monotone"]
@@ -52,26 +51,7 @@ class TestEntropyEval:
 
 
 class TestEntropyCalculus:
-    def test_lipschitz_identity(self):
-        m = EntropyModel(alpha=1.0, V=1.0, B=10.0)
-        out = lipschitz_compose(m, 1.0)
-        assert out == m
-
-    def test_lipschitz_rescale(self):
-        m = EntropyModel(alpha=2.0, V=0.0, sigma=0.5, b=1.0)
-        out = lipschitz_compose(m, 3.0)
-        # new bound at u equals the old bound at u/3
-        assert entropy_eval(out, 0.3) == pytest.approx(entropy_eval(m, 0.1))
-
-    def test_scalar_multiply(self):
-        m = EntropyModel(alpha=1.0, V=0.0, sigma=1.0, b=1.0)
-        out = lipschitz_compose(m, 2.0)
-        assert entropy_eval(out, 0.5) == pytest.approx(entropy_eval(m, 0.25))
-
     def test_invalid_parameters(self):
-        m = EntropyModel(alpha=1.0)
-        with pytest.raises(ValueError):
-            lipschitz_compose(m, 0.0)
         # a model is checked when it is built; NaN fails every field's check
         for field, bad in [("K", 0.0), ("D", 0.5), ("theta", 0.0), ("alpha", -1.0),
                            ("V", -1.0), ("sigma", 0.0), ("sigma", 2.0), ("b", 0.5),

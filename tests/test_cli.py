@@ -279,6 +279,10 @@ class TestSemanticConfigFaults:
         ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": 3.0,
                       "n_grid": [16, 24, 32, 48], "replications": 1,
                       "base_seed": -3}),
+        # axes of two clouds would share a seed from 839 replications at d = 6
+        ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 6, "beta": 3.0,
+                      "n_grid": [2, 3, 4, 5], "replications": 839,
+                      "base_seed": 0}),
     ], ids=["rows_not_stochastic", "state_values_length", "ragged_transition",
             "too_few_observations_for_bins", "gap_not_below_half_n",
             "beta_at_regime_boundary", "r_not_a_number", "r_not_above_2",
@@ -288,7 +292,7 @@ class TestSemanticConfigFaults:
             "phase_nan_beta", "simulate_nan_tail_exponent",
             "mixing_est_nan_transition", "verify_negative_seed",
             "mixing_est_negative_seed", "simulate_negative_base_seed",
-            "ot_bench_negative_base_seed"])
+            "ot_bench_negative_base_seed", "ot_bench_repeated_seed"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg):
         cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
         out = tmp_path / "o"

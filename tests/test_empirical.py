@@ -369,9 +369,34 @@ class TestOrliczNormBisection:
             weights = rng.dirichlet(np.ones(m))
             if m > 1:
                 weights[rng.integers(m)] = 0.0
+            # the live function drops a weight-0 atom at entry; the frozen
+            # copy would let it set the bracket
+            kept = weights != 0
             for r in (2.0001, 2.5, 3, 4, 8, 17.3, 100, 1e4, math.inf):
                 assert orlicz_norm_finite(values, weights, r) == \
-                    frozen_orlicz_norm_finite(values, weights, r), (m, r)
+                    frozen_orlicz_norm_finite(values[kept], weights[kept], r), (m, r)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_atom_ignored(self):
+        """A weight-0 atom used to set the bracket, and at large r turned
+        (v/t)^r into 0 * inf = nan: ([1, 2], [1, 0]) at r = 1e4 read
+        1.8629642636560837, with overflow warnings, for a gauge of 1."""
+        assert orlicz_norm_finite([1.0, 2.0], [1.0, 0.0], 1e4) == 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # (h/t)^r overflows
+    def test_zero_weight_atoms_dropped_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for m in (2, 3, 8, 50):
+            for _ in range(20):
+                values = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+                weights = rng.dirichlet(np.ones(m))
+                weights[rng.random(m) < 0.4] = 0.0
+                if rng.random() < 0.3:
+                    weights[rng.integers(m)] *= -0.5
+                kept = weights != 0
+                for r in (2.5, 4, 17.3, math.inf):
+                    assert orlicz_norm_finite(values, weights, r) == \
+                        orlicz_norm_finite(values[kept], weights[kept], r), (m, r)
 
     def test_signed_weights_bisect_on_the_sum(self):
         """With a negative weight the sum cancels (here ~1e9 against a
@@ -531,6 +556,17 @@ class TestErmRiskCurve:
                "params": {"transition": [[1.0]], "state_values": [0.0]}}
         fit = erm_risk_curve(cfg, lambda x: x, [16, 32, 64, 128], 30)
         assert np.all(fit.estimates <= 1e-20)
+
+    def test_repeated_seed_rejected_before_any_draw(self, monkeypatch):
+        """Replica rep at size index idx draws seed base_seed + 1000 idx + rep,
+        so 1,001 replications over two sizes repeat a seed."""
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(empirical, "generate", no_draw)
+        empirical._check_seed_rule(1000 * np.arange(2), 1000)
+        with pytest.raises(ValueError, match="repeat a seed"):
+            erm_risk_curve(IID_CFG, lambda x: x, [16, 32], 1001)
 
     def test_iid_design_classical_rate(self):
         fit = erm_risk_curve(IID_CFG, lambda x: x, self.N_GRID, 50, base_seed=7)

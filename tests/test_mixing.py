@@ -307,6 +307,14 @@ def loop_age_value_transition(tail_exponent, l_max, n_values):
     return trans
 
 
+def age_value_chain(tail_exponent, l_max, n_values):
+    # the exact (residual, value) chain of the renewal DGP with its
+    # values in n_values equiprobable levels: (transition, stationary law)
+    pmf = mixing._block_length_pmf(tail_exponent, l_max)
+    pi = np.repeat(mixing._residual_life_pmf(pmf), n_values) / n_values
+    return loop_age_value_transition(tail_exponent, l_max, n_values), pi
+
+
 class TestGenRenewalChain:
     def test_lmax_one_is_iid_uniform(self):
         s = mixing.gen_renewal_chain(0.5, 1, 2000, seed=5)
@@ -325,7 +333,7 @@ class TestGenRenewalChain:
         assert fit.slope == pytest.approx(-1.5, abs=0.1)
 
     def test_binning_matches_exact_age_value_chain(self):
-        T, pi, _ = mixing.renewal_age_value_chain(0.5, 50, 10)
+        T, pi = age_value_chain(0.5, 50, 10)
         s = mixing.gen_renewal_chain(0.5, 50, 10**5, seed=11)
         disc = np.floor(s.values * 10)
         sd = mixing.SequenceSample(values=disc, mixing_oracle=None)
@@ -339,20 +347,12 @@ class TestGenRenewalChain:
         with pytest.raises(mixing.ConstructionError):
             mixing.gen_renewal_chain(0.5, 0, 10, seed=0)
 
-    @pytest.mark.parametrize("tail,l_max,n_values", [
-        (0.5, 50, 10), (0.5, 500, 1), (2.0, 7, 3), (0.3, 1, 4), (1.5, 20, 1)])
-    def test_age_value_chain_matches_loop(self, tail, l_max, n_values):
-        T, pi, values = mixing.renewal_age_value_chain(tail, l_max, n_values)
-        assert np.array_equal(T, loop_age_value_transition(tail, l_max, n_values))
-        assert np.allclose(pi @ T, pi)
-        assert values.shape == pi.shape == (l_max * n_values,)
-
     def test_exact_chain_decay_slope(self):
         # coefficients of the exact (age, value) chain decay like q^{-beta};
         # the fit window stops at l_max/10 because the block-length cutoff
         # steepens the tail near the horizon
         l_max = 500
-        T, pi, _ = mixing.renewal_age_value_chain(0.5, l_max, 1)
+        T, pi = age_value_chain(0.5, l_max, 1)
         M = np.eye(len(pi))
         pairs = []
         for q in range(1, l_max // 10 + 1):
@@ -641,6 +641,15 @@ class TestMixingProfile:
                                     values=(1.0, 0.5, 0.25))
         assert prof.coefficient(2) == 0.25
         assert prof.coefficient(3) == 0.0
+
+    def test_iid_profile_is_shared_and_read_only(self):
+        iid = mixing.MixingProfile.iid()
+        assert mixing.gen_iid_uniform(8, 0).mixing_oracle is iid
+        assert mixing.gen_ar1(0.0, 8, 0).mixing_oracle is iid
+        assert not iid.values.flags.writeable
+        with pytest.raises(ValueError):
+            iid.values[0] = 0.5
+        assert iid.coefficient([0, 1, 5]).tolist() == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("transition", [[[np.nan, np.nan], [0.5, 0.5]],
                                             [[np.nan, 1.0], [0.5, 0.5]]])

@@ -585,3 +585,17 @@ class TestComparisonHarness:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             compare_estimators(IID_CFG, 1, 1.0, [16, 32])
+
+    def test_repeated_seed_rejected_before_any_draw(self, monkeypatch):
+        """Axis j of cloud X (Y) at size index i in replica rep draws seed
+        base_seed + 10,000 i + 7919 j + 2 rep (+ 1): over four sizes that
+        first repeats at 1,041 replications for d = 4 and at 839 for d = 6."""
+        def no_draw(*args):
+            raise AssertionError("a cloud was drawn")
+
+        monkeypatch.setattr(mixrate.ot, "gen_cloud", no_draw)
+        for d, reps in ((4, 1041), (6, 839)):
+            mixrate.ot._check_seeds(4, d, reps - 1)
+            with pytest.raises(ValueError, match="repeat a seed"):
+                compare_estimators(IID_CFG, d, 3.0, [16, 24, 32, 48],
+                                   replications=reps)
