@@ -150,7 +150,7 @@ def write_manifest(outdir: Path, command: str, cfg: dict) -> None:
     atomic_write(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -205,22 +205,16 @@ def _cmd_simulate(cfg: dict, outdir: Path) -> None:
         theory = float(rates.rate_exponent(
             empirical._ENTROPY_EXPONENTS[cfg["statistic"]],
             dgp["params"]["tail_exponent"]).exponent)
-    oracle = uniform01_cdf()
-    pairs, ses, rows = [], [], []
-    for n in cfg["n_grid"]:
-        mean, se = empirical.mc_sup_expectation(
-            cfg["dgp"], cfg["statistic"], n, cfg["replications"],
-            cfg["base_seed"], oracle)
-        pairs.append((n, mean))
-        ses.append(se)
-        rows.append([n, mean, se])
-    fit = empirical.slope_fit(pairs, ses)
+    means, ses = empirical._mean_se(empirical.mc_sup_expectation(
+        dgp, cfg["statistic"], cfg["n_grid"], cfg["replications"],
+        cfg["base_seed"], uniform01_cdf()))
+    fit = empirical.slope_fit(zip(cfg["n_grid"], means), ses)
     tol = cfg.get("tolerance", 0.06)
     summary = {"slope": fit.slope, "slope_se": fit.slope_se,
                "r_squared": fit.r_squared, "theory_exponent": theory,
                "verdict": "pass" if abs(fit.slope - theory) <= tol else "fail"}
     atomic_write(outdir / "simulate.csv",
-                 _csv_text(["n", "mean", "jackknife_se"], rows))
+                 _csv_text(["n", "mean", "jackknife_se"], zip(cfg["n_grid"], means, ses)))
     atomic_write(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True))
     series = [svg.Series("measured", fit.n_grid, fit.estimates,
                          fit.standard_errors)]

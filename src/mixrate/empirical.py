@@ -82,28 +82,46 @@ def jackknife_se(x: np.ndarray) -> float:
     return math.sqrt((r - 1) / r * pairwise_sum((loo - center) ** 2))
 
 
-def mc_sup_expectation(dgp_cfg: dict, statistic: str, n: int,
-                       replications: int, base_seed: int,
-                       cdf_oracle: CdfOracle) -> tuple[float, float]:
-    """Replica r uses seed base_seed + r; returns (mean, jackknife SE).
+def _check_replicas(replications: int, base_seed: int, minimum: int = 1) -> None:
+    """A replica loop's entry checks; numpy's generators take no negative seed."""
+    if replications < minimum:
+        raise ValueError(f"need at least {minimum} replications")
+    if base_seed < 0:
+        raise ValueError("base_seed must be non-negative")
 
-    The reduction uses fixed-tree pairwise summation, so the result is
-    independent of evaluation order.
-    """
-    if replications < 30:
-        raise ValueError("need at least 30 replications")
+
+def _replicates(draw, n_grid, seeds) -> np.ndarray:
+    """The (len(n_grid), replications) matrix of draw(n, seed), row i over the
+    seeds seeds[i] (a tuple draw adds a last axis): the package's one replica loop."""
+    rows = []
+    for n, row in zip(n_grid, seeds):
+        rows.append([])
+        for r, seed in enumerate(row):
+            try:
+                rows[-1].append(draw(n, seed))
+            except Exception as exc:
+                raise RuntimeError(f"replica {r} at n = {n} failed: {exc}") from exc
+    return np.array(rows, dtype=float)
+
+
+def _mean_se(matrix: np.ndarray) -> tuple[list[float], list[float]]:
+    """Pairwise-sum mean and jackknife SE of each row of a replicate matrix."""
+    return ([pairwise_sum(row) / len(row) for row in matrix],
+            [jackknife_se(row) for row in matrix])
+
+
+def mc_sup_expectation(dgp_cfg: dict, statistic: str, n_grid, replications: int,
+                       base_seed: int, cdf_oracle: CdfOracle) -> np.ndarray:
+    """The (len(n_grid), replications) matrix of the statistic's supremum;
+    replica r draws seed base_seed + r at every n."""
+    _check_replicas(replications, base_seed, 30)
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     if cdf_oracle is None:
         raise ValueError("a CDF oracle for the marginal law is required")
-    vals = np.empty(replications)
-    for r in range(replications):
-        try:
-            sample = generate(dgp_cfg, n, base_seed + r)
-        except Exception as exc:
-            raise RuntimeError(f"generator failed at replica {r}: {exc}") from exc
-        vals[r] = _STATISTICS[statistic](sample.values, cdf_oracle)
-    return pairwise_sum(vals) / replications, jackknife_se(vals)
+    seeds = range(base_seed, base_seed + replications)
+    return _replicates(lambda n, seed: _STATISTICS[statistic](
+        generate(dgp_cfg, n, seed).values, cdf_oracle), n_grid, [seeds] * len(n_grid))
 
 
 @dataclass(frozen=True)
@@ -118,14 +136,12 @@ class SlopeFit:
     intercept: float
     r_squared: float
 
-    def __post_init__(self):
-        if len(self.n_grid) < 4 or np.any(np.diff(self.n_grid) <= 0):
-            raise ValueError("need >= 4 strictly increasing n values")
-
 
 def slope_fit(pairs, standard_errors=None) -> SlopeFit:
     """Ordinary least squares on (log n, log estimate)."""
     pairs = list(pairs)
+    if len(pairs) < 4 or len({n for n, _ in pairs}) < len(pairs):
+        raise ValueError("need >= 4 n values, none repeated")
     order = sorted(range(len(pairs)), key=pairs.__getitem__)
     n_grid = np.array([pairs[i][0] for i in order], dtype=float)
     est = np.array([pairs[i][1] for i in order], dtype=float)
@@ -295,19 +311,17 @@ def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,
     """
     from scipy.optimize import isotonic_regression
 
-    # replica rep at size index idx draws seed base_seed + 1000 idx + rep
-    _check_seed_rule(1000 * np.arange(len(n_grid)), replications)
-    points = []
-    ses = []
-    for idx, n in enumerate(n_grid):
-        x = np.arange(1, n + 1) / (n + 1)
-        target = np.asarray([f_star(t) for t in x])
-        errs = np.empty(replications)
-        for rep in range(replications):
-            sample = generate(noise_cfg, n, base_seed + 1000 * idx + rep)
-            noise = sample.values - np.mean(sample.values)
-            fit = isotonic_regression(target + noise).x
-            errs[rep] = float(np.mean((fit - target) ** 2))
-        points.append((n, max(pairwise_sum(errs) / replications, 1e-300)))
-        ses.append(jackknife_se(errs))
-    return slope_fit(points, ses)
+    _check_replicas(replications, base_seed)
+    offsets = 1000 * np.arange(len(n_grid))  # replica rep: base_seed + offset + rep
+    _check_seed_rule(offsets, replications)
+    seeds = [range(base_seed + o, base_seed + o + replications) for o in offsets.tolist()]
+    targets = {n: np.asarray([f_star(t) for t in np.arange(1, n + 1) / (n + 1)])
+               for n in n_grid}
+
+    def draw(n, seed):
+        noise = generate(noise_cfg, n, seed).values
+        fit = isotonic_regression(targets[n] + (noise - np.mean(noise))).x
+        return float(np.mean((fit - targets[n]) ** 2))
+
+    means, ses = _mean_se(_replicates(draw, n_grid, seeds))
+    return slope_fit(zip(n_grid, np.maximum(means, 1e-300)), ses)

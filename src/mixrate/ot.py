@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .empirical import _check_seed_rule, generate, slope_fit
+from .empirical import (_check_replicas, _check_seed_rule, _mean_se, _replicates,
+                        generate, slope_fit)
 from .mixing import _check_count
 from .rates import ot_schedule
 
@@ -296,28 +297,27 @@ def compare_estimators(dgp_pair_cfg: dict, d: int, beta: float, n_grid,
     (k_n, eps_n) schedule of ``rates.ot_schedule`` (d >= 4, beta off the
     boundary 2/(d-2)), with wall-clock power-law fits."""
     n_grid = np.asarray(list(n_grid), dtype=int)
-    schedules = [ot_schedule(beta, d, int(n)) for n in n_grid]
+    schedule_at = {n: ot_schedule(beta, d, n) for n in n_grid.tolist()}
+    _check_replicas(replications, base_seed)
     _check_seeds(len(n_grid), d, replications)
-    exact_vals = np.empty(len(n_grid))
-    sink_vals = np.empty(len(n_grid))
-    exact_t = np.empty(len(n_grid))
-    sink_t = np.empty(len(n_grid))
     # d > 2 guards an empty n_grid, for which no ot_schedule check has run
     regime = "fast" if d > 2 and beta > 2.0 / (d - 2) else "slow"
-    for i, (n, (k_n, eps_n)) in enumerate(zip(n_grid, schedules)):
-        ev, sv, et, st = 0.0, 0.0, 0.0, 0.0
-        for rep in range(replications):
-            seed = base_seed + 10_000 * i + 2 * rep
-            X = gen_cloud(dgp_pair_cfg, int(n), d, seed)
-            Y = gen_cloud(dgp_pair_cfg, int(n), d, seed + 1)
-            t0 = time.perf_counter()
-            ev += exact_w2(X, Y)
-            et += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            sv += sinkhorn_divergence(X, Y, eps_n, k_n)
-            st += time.perf_counter() - t0
-        exact_vals[i], sink_vals[i] = ev / replications, sv / replications
-        exact_t[i], sink_t[i] = et, st
+
+    def draw(n, seed):
+        k_n, eps_n = schedule_at[n]
+        X = gen_cloud(dgp_pair_cfg, n, d, seed)
+        Y = gen_cloud(dgp_pair_cfg, n, d, seed + 1)
+        t0 = time.perf_counter()
+        ev = exact_w2(X, Y)
+        t1 = time.perf_counter()
+        sv = sinkhorn_divergence(X, Y, eps_n, k_n)
+        return ev, sv, t1 - t0, time.perf_counter() - t1
+
+    seeds = [range(base_seed + 10_000 * i, base_seed + 10_000 * i + 2 * replications, 2)
+             for i in range(len(n_grid))]
+    draws = _replicates(draw, n_grid.tolist(), seeds).reshape(-1, replications, 4)
+    exact_vals, sink_vals, exact_t, sink_t = (
+        np.array(_mean_se(m)[0]) for m in draws.transpose(2, 0, 1))
     if len(n_grid) >= 4:
         exp_e = slope_fit(list(zip(n_grid, np.maximum(exact_t, 1e-9)))).slope
         exp_s = slope_fit(list(zip(n_grid, np.maximum(sink_t, 1e-9)))).slope
@@ -325,6 +325,6 @@ def compare_estimators(dgp_pair_cfg: dict, d: int, beta: float, n_grid,
         exp_e = exp_s = math.nan
     return OtComparisonReport(
         n_grid=n_grid, exact_values=exact_vals, sinkhorn_values=sink_vals,
-        exact_times=exact_t, sinkhorn_times=sink_t, schedules=schedules,
-        exact_runtime_exponent=exp_e,
-        sinkhorn_runtime_exponent=exp_s, regime=regime)
+        exact_times=exact_t, sinkhorn_times=sink_t,
+        schedules=[schedule_at[n] for n in n_grid.tolist()],
+        exact_runtime_exponent=exp_e, sinkhorn_runtime_exponent=exp_s, regime=regime)

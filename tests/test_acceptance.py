@@ -37,12 +37,9 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> bool:
 
 
 def ks_slope(dgp_cfg, base_seed=1234):
-    pairs, ses = [], []
-    for n in N_GRID:
-        mean, se = mc_sup_expectation(dgp_cfg, "ks", n, 200, base_seed, ORACLE)
-        pairs.append((n, mean))
-        ses.append(se)
-    return slope_fit(pairs, ses).slope
+    means, ses = empirical._mean_se(
+        mc_sup_expectation(dgp_cfg, "ks", N_GRID, 200, base_seed, ORACLE))
+    return slope_fit(zip(N_GRID, means), ses).slope
 
 
 def test_criterion_1_long_range_slope():

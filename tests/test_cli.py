@@ -103,6 +103,22 @@ class TestSimulateCommand:
         assert len(csv_rows) == 5
         assert (out / "simulate.svg").read_text().startswith("<svg")
 
+    def test_csv_rows_keep_config_order(self, tmp_path):
+        """Rows follow an unsorted n_grid; each n's row is the one a sorted
+        grid writes, since replica r draws seed base_seed + r at every n."""
+        rows = {}
+        for name, n_grid in (("sorted", [64, 128, 256, 512]),
+                             ("unsorted", [256, 64, 512, 128])):
+            cfg_path = write_cfg(tmp_path, f"{name}.json", {
+                "dgp": {"generator": "iid_uniform"}, "statistic": "w1",
+                "n_grid": n_grid, "replications": 30, "base_seed": 3})
+            assert main(["simulate", "--config", cfg_path,
+                         "--output-dir", str(tmp_path / name)]) == 0
+            rows[name] = (tmp_path / name / "simulate.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows["unsorted"][1:]] == ["256", "64", "512", "128"]
+        assert sorted(rows["unsorted"][1:], key=lambda r: int(r.split(",")[0])) \
+            == rows["sorted"][1:]
+
     def test_too_few_replications_exits_2(self, tmp_path):
         cfg_path = write_cfg(tmp_path, "sim.json",
                              {"dgp": {"generator": "iid_uniform"},

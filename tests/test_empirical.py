@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import isotonic_regression
 
-from mixrate import empirical, mixing
+from mixrate import empirical, mixing, ot
 from mixrate.classes import sup_halflines, sup_lipschitz_w1, uniform01_cdf
 from mixrate.empirical import (erm_risk_curve, jackknife_se, mc_sup_expectation,
                                orlicz_norm_finite, pairwise_sum, slope_fit,
@@ -91,20 +91,21 @@ class TestGnStat:
         # the monotone statistic is the half-line supremum (complement
         # symmetry), so both names give the same Monte Carlo estimate
         cfg = {"generator": "renewal", "params": {"tail_exponent": 0.5, "l_max": 20}}
-        assert (mc_sup_expectation(cfg, "monotone", 40, 30, 3, ORACLE)
-                == mc_sup_expectation(cfg, "ks", 40, 30, 3, ORACLE))
+        assert np.array_equal(mc_sup_expectation(cfg, "monotone", [40], 30, 3, ORACLE),
+                              mc_sup_expectation(cfg, "ks", [40], 30, 3, ORACLE))
 
     def test_missing_oracle(self):
         with pytest.raises(ValueError):
-            mc_sup_expectation(IID_CFG, "ks", 50, 30, 0, None)
+            mc_sup_expectation(IID_CFG, "ks", [50], 30, 0, None)
         with pytest.raises(ValueError):
-            mc_sup_expectation(IID_CFG, "nope", 50, 30, 0, ORACLE)
+            mc_sup_expectation(IID_CFG, "nope", [50], 30, 0, ORACLE)
 
 
 class TestMcSupExpectation:
     def test_iid_ks_near_classical_limit(self):
         # limiting Kolmogorov mean sqrt(pi/2) ln 2 = 0.8687
-        mean, se = mc_sup_expectation(IID_CFG, "ks", 10**4, 200, 42, ORACLE)
+        [mean], [se] = empirical._mean_se(
+            mc_sup_expectation(IID_CFG, "ks", [10**4], 200, 42, ORACLE))
         assert mean == pytest.approx(math.sqrt(math.pi / 2) * math.log(2),
                                      abs=0.05)
         assert se < 0.05
@@ -113,28 +114,46 @@ class TestMcSupExpectation:
         cfg = {"generator": "markov",
                "params": {"transition": [[1.0]], "state_values": [0.3]}}
         n = 100
-        mean, se = mc_sup_expectation(cfg, "ks", n, 30, 0, ORACLE)
+        [mean], [se] = empirical._mean_se(mc_sup_expectation(cfg, "ks", [n], 30, 0, ORACLE))
         assert mean == pytest.approx(math.sqrt(n) * 0.7)
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_doubling_replications_shrinks_se(self):
-        _, se1 = mc_sup_expectation(IID_CFG, "ks", 500, 100, 7, ORACLE)
-        _, se2 = mc_sup_expectation(IID_CFG, "ks", 500, 200, 7, ORACLE)
+        _, [se1] = empirical._mean_se(
+            mc_sup_expectation(IID_CFG, "ks", [500], 100, 7, ORACLE))
+        _, [se2] = empirical._mean_se(
+            mc_sup_expectation(IID_CFG, "ks", [500], 200, 7, ORACLE))
         assert se2 == pytest.approx(se1 / math.sqrt(2), rel=0.3)
 
     def test_replication_floor(self):
         with pytest.raises(ValueError):
-            mc_sup_expectation(IID_CFG, "ks", 100, 10, 0, ORACLE)
+            mc_sup_expectation(IID_CFG, "ks", [100], 10, 0, ORACLE)
 
     def test_generator_failure_carries_replica_index(self):
         bad = {"generator": "renewal", "params": {"tail_exponent": -1.0}}
-        with pytest.raises(RuntimeError, match="replica 0"):
-            mc_sup_expectation(bad, "ks", 100, 30, 0, ORACLE)
+        with pytest.raises(RuntimeError, match="replica 0 at n = 100 failed"):
+            mc_sup_expectation(bad, "ks", [100, 200], 30, 0, ORACLE)
 
     def test_deterministic_for_fixed_seed(self):
-        a = mc_sup_expectation(IID_CFG, "ks", 200, 30, 5, ORACLE)
-        b = mc_sup_expectation(IID_CFG, "ks", 200, 30, 5, ORACLE)
-        assert a == b
+        a = mc_sup_expectation(IID_CFG, "ks", [200, 100], 30, 5, ORACLE)
+        b = mc_sup_expectation(IID_CFG, "ks", [200, 100], 30, 5, ORACLE)
+        assert a.shape == (2, 30)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("statistic, cfg", [
+        ("ks", {"generator": "renewal", "params": {"tail_exponent": 0.5, "l_max": 50}}),
+        ("w1", IID_CFG)])
+    def test_matrix_equals_one_draw_per_entry(self, statistic, cfg):
+        """Entry (i, r) is the statistic of the sample drawn at n_grid[i]
+        with seed base_seed + r, whatever the order of n_grid."""
+        n_grid, base_seed = [64, 16, 32], 11
+        matrix = mc_sup_expectation(cfg, statistic, n_grid, 30, base_seed, ORACLE)
+        assert matrix.shape == (3, 30)
+        for i, n in enumerate(n_grid):
+            for r in range(30):
+                sample = empirical.generate(cfg, n, base_seed + r)
+                assert matrix[i, r] == empirical._STATISTICS[statistic](
+                    sample.values, ORACLE), (n, r)
 
     @pytest.mark.parametrize("statistic, oracle", [("nope", ORACLE), ("ks", None)],
                              ids=["unknown_statistic", "no_oracle"])
@@ -145,7 +164,7 @@ class TestMcSupExpectation:
         monkeypatch.setattr(empirical, "generate",
                             lambda *args: calls.append(args) or real(*args))
         with pytest.raises(ValueError):
-            mc_sup_expectation(IID_CFG, statistic, 50, 30, 0, oracle)
+            mc_sup_expectation(IID_CFG, statistic, [50], 30, 0, oracle)
         assert calls == []
 
 
@@ -200,6 +219,18 @@ class TestSlopeFit:
             slope_fit([(10, 1.0), (20, -1.0), (30, 1.0), (40, 1.0)])
         with pytest.raises(ValueError):
             slope_fit([(10, 1.0), (20, 1.0), (30, 1.0)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fit", [
+        lambda: slope_fit([(16, 1.0)]),
+        lambda: slope_fit([(16, 1.0), (16, 2.0), (32, 1.0), (64, 1.0)]),
+        lambda: erm_risk_curve(IID_CFG, lambda x: x, [16], 40)],
+        ids=["one_size", "repeated_size", "erm_one_size"])
+    def test_too_few_sizes_rejected_before_dividing(self, fit):
+        """One size used to warn 'invalid value encountered in scalar divide'
+        and then raise a bare ZeroDivisionError."""
+        with pytest.raises(ValueError, match="need >= 4 n values"):
+            fit()
 
 
 class TestVarianceBound:
@@ -578,3 +609,23 @@ class TestErmRiskCurve:
                               "params": {"tail_exponent": 0.5, "l_max": 10**4}},
                              lambda x: x, self.N_GRID, 50, base_seed=7)
         assert ren.slope >= iid.slope + 0.05
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_sup_expectation(IID_CFG, "ks", [16, 32], 30, -1, ORACLE),
+    lambda: erm_risk_curve(IID_CFG, lambda x: x, [16, 32, 64, 128], 0),
+    lambda: erm_risk_curve(IID_CFG, lambda x: x, [16, 32, 64, 128], 30, base_seed=-1),
+    lambda: ot.compare_estimators(IID_CFG, 4, 3.0, [16, 24, 32, 48], replications=0),
+    lambda: ot.compare_estimators(IID_CFG, 4, 3.0, [16, 24, 32, 48], base_seed=-1)],
+    ids=["mc_negative_seed", "erm_no_replications", "erm_negative_seed",
+         "ot_no_replications", "ot_negative_seed"])
+def test_replica_inputs_rejected_before_any_draw(monkeypatch, call):
+    """No replication, or a negative base seed (numpy takes no negative
+    seed), is a ValueError at the entry point, not a failure at a draw."""
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(empirical, "generate", no_draw)
+    monkeypatch.setattr(ot, "generate", no_draw)
+    with pytest.raises(ValueError):
+        call()

@@ -577,6 +577,24 @@ class TestComparisonHarness:
         # both estimate the same squared distance at matched seeds
         assert rep.sinkhorn_values[-1] <= rep.exact_values[-1] + 0.05
 
+    def test_means_match_a_sequential_loop(self):
+        """Up to three replicas the pairwise-sum mean is the sequential one,
+        bit for bit: (a + b) + (c + 0) is ((0 + a) + b) + c."""
+        n_grid, reps, base_seed = [16, 24, 32, 48], 3, 11
+        rep = compare_estimators(IID_CFG, 4, 3.0, n_grid, replications=reps,
+                                 base_seed=base_seed)
+        for i, n in enumerate(n_grid):
+            k_n, eps_n = mixrate.rates.ot_schedule(3.0, 4, n)
+            ev = sv = 0.0
+            for r in range(reps):
+                seed = base_seed + 10_000 * i + 2 * r
+                X = gen_cloud(IID_CFG, n, 4, seed)
+                Y = gen_cloud(IID_CFG, n, 4, seed + 1)
+                ev += exact_w2(X, Y)
+                sv += sinkhorn_divergence(X, Y, eps_n, k_n)
+            assert rep.exact_values[i] == ev / reps, n
+            assert rep.sinkhorn_values[i] == sv / reps, n
+
     def test_slow_regime_flag(self):
         rep = compare_estimators(IID_CFG, 4, 0.5, [16, 32],
                                  replications=1, base_seed=1)
