@@ -137,11 +137,15 @@ class SlopeFit:
     r_squared: float
 
 
+def _check_sizes(sizes) -> None:
+    if len(sizes) < 4 or len(set(sizes)) < len(sizes):
+        raise ValueError("need >= 4 n values, none repeated")
+
+
 def slope_fit(pairs, standard_errors=None) -> SlopeFit:
     """Ordinary least squares on (log n, log estimate)."""
     pairs = list(pairs)
-    if len(pairs) < 4 or len({n for n, _ in pairs}) < len(pairs):
-        raise ValueError("need >= 4 n values, none repeated")
+    _check_sizes([n for n, _ in pairs])
     order = sorted(range(len(pairs)), key=pairs.__getitem__)
     n_grid = np.array([pairs[i][0] for i in order], dtype=float)
     est = np.array([pairs[i][1] for i in order], dtype=float)
@@ -314,6 +318,7 @@ def erm_risk_curve(noise_cfg: dict, f_star, n_grid, replications: int,
     _check_replicas(replications, base_seed)
     offsets = 1000 * np.arange(len(n_grid))  # replica rep: base_seed + offset + rep
     _check_seed_rule(offsets, replications)
+    _check_sizes(n_grid)
     seeds = [range(base_seed + o, base_seed + o + replications) for o in offsets.tolist()]
     targets = {n: np.asarray([f_star(t) for t in np.arange(1, n + 1) / (n + 1)])
                for n in n_grid}

@@ -613,15 +613,17 @@ class TestErmRiskCurve:
 
 @pytest.mark.parametrize("call", [
     lambda: mc_sup_expectation(IID_CFG, "ks", [16, 32], 30, -1, ORACLE),
+    lambda: erm_risk_curve(IID_CFG, lambda x: x, [16], 40),
     lambda: erm_risk_curve(IID_CFG, lambda x: x, [16, 32, 64, 128], 0),
     lambda: erm_risk_curve(IID_CFG, lambda x: x, [16, 32, 64, 128], 30, base_seed=-1),
     lambda: ot.compare_estimators(IID_CFG, 4, 3.0, [16, 24, 32, 48], replications=0),
     lambda: ot.compare_estimators(IID_CFG, 4, 3.0, [16, 24, 32, 48], base_seed=-1)],
-    ids=["mc_negative_seed", "erm_no_replications", "erm_negative_seed",
+    ids=["mc_negative_seed", "erm_one_size", "erm_no_replications", "erm_negative_seed",
          "ot_no_replications", "ot_negative_seed"])
 def test_replica_inputs_rejected_before_any_draw(monkeypatch, call):
-    """No replication, or a negative base seed (numpy takes no negative
-    seed), is a ValueError at the entry point, not a failure at a draw."""
+    """Too few sizes, no replication, or a negative base seed (numpy takes
+    no negative seed) is a ValueError at the entry point, not a failure at
+    or after a draw."""
     def no_draw(*args):
         raise AssertionError("a sample was drawn")
 
