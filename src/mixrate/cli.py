@@ -165,10 +165,26 @@ def _reject_constant(name: str):
 class _JsonFraction(float):
     """A JSON number written with a fraction or an exponent, such as 1.0.
     It is never integral, so a schema's integer type, which admits integral
-    floats, rejects it before numpy meets it as a size or an index."""
+    floats, rejects it before numpy meets it as a size or an index.  A
+    literal beyond the double range, such as 1e400, is a ValueError."""
+
+    def __new__(cls, text: str):
+        value = super().__new__(cls, text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text} lies outside the double range")
+        return value
 
     def is_integer(self) -> bool:
         return False
+
+
+def _json_int(text: str) -> int:
+    # no field needs an integer that no double holds, and one reaching a
+    # float field would raise OverflowError deep inside a command
+    value = int(text)
+    if abs(value) >= 2**1024:
+        raise ValueError(f"an integer of {len(text)} characters lies outside the double range")
+    return value
 
 
 def _r_value(x):
@@ -350,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = {} if args.config is None else json.loads(
             Path(args.config).read_text(), parse_constant=_reject_constant,
-            parse_float=_JsonFraction)
+            parse_float=_JsonFraction, parse_int=_json_int)
         # the schemas are constants: the tests check them against the
         # metaschema, a check that would cost every run milliseconds
         jsonschema.Draft202012Validator(SCHEMAS[schema_key]).validate(cfg)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import mixing
 from .classes import CdfOracle, sup_halflines, sup_lipschitz_w1
-from .rates import c_phi, lambda_phi_beta
+from .rates import _geometric_bisect, c_phi, lambda_phi_beta
 
 # the extreme points of the monotone [0,1]-valued functions are upper-set
 # indicators, so by complement symmetry their centered supremum is the
@@ -214,14 +214,7 @@ def orlicz_norm_finite(values: np.ndarray, weights: np.ndarray, r: float) -> flo
         hi *= 2.0
     while ok(lo):
         lo /= 2.0
-    # rates._geometric_bisect, with ok's comparison inlined
-    while hi / lo > 1.0 + _ORLICZ_REL_TOL:
-        mid = math.sqrt(lo * hi)
-        if mid > root if abs(mid - root) > band else ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _geometric_bisect(ok, lo, hi, _ORLICZ_REL_TOL)
 
 
 @dataclass(frozen=True)
@@ -260,9 +253,9 @@ def verify_variance_bound(transition: np.ndarray, stationary: np.ndarray,
     hc = h - float(np.dot(stationary, h))
     cov = [float(np.dot(stationary, hc * hc))]  # cov[k] = Cov(h(X_0), h(X_k))
     q_max = max(qs, default=1)
-    # P^k for k < q_max, a chunk of at most 4096 entries at a time in
+    # P^k for k < q_max, a chunk of mixing._stack_len powers at a time in
     # powers[1:]; powers[0] carries the chunk's last power into the next
-    chunk = -(-4096 // transition.size)
+    chunk = mixing._stack_len(len(h))
     powers = np.empty((min(chunk, q_max - 1) + 1,) + transition.shape)
     powers[0] = np.eye(len(h))
     for start in range(1, q_max, chunk):

@@ -93,8 +93,10 @@ def _check_count(value, name: str) -> None:
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix by power iteration.
 
-    Non-convergence (reducible or periodic chain without a unique
-    stationary law) raises :class:`ConstructionError`.
+    Only an iteration that fails to converge, as on a periodic chain,
+    raises :class:`ConstructionError`.  A reducible chain is not detected:
+    its iteration converges to a stationary vector that depends on the
+    start, so the identity on 2 states returns [1/3, 2/3].
     """
     transition = _check_stochastic(transition)
     m = transition.shape[0]
@@ -413,6 +415,12 @@ def gen_iid_uniform(n: int, seed: int) -> SequenceSample:
     return SequenceSample(values=rng.random(n), mixing_oracle=MixingProfile.iid())
 
 
+def _stack_len(m: int) -> int:
+    """How many m-by-m matrices go into one stacked product: the largest
+    power of two b with b m^2 <= 2**12, and 1 from m = 65 on."""
+    return 1 << max(0, (4096 // (m * m)).bit_length() - 1)
+
+
 def exact_beta_markov(profile: MixingProfile,
                       q: int | Sequence[int]) -> float | np.ndarray:
     """Exact beta coefficient at gap q of the chain of an ``exact_markov``
@@ -425,14 +433,12 @@ def exact_beta_markov(profile: MixingProfile,
     of ``np.linalg.matrix_power``, so the rounding matches it: with S_j =
     P^(2^j) the repeated squares and t the top bit of q, P^q = P^(q - 2^t)
     @ S_t, except P^3 = (P @ P) @ P (as the prefix of a larger gap, P^3
-    stays P @ (P @ P)).  With b the largest power of two such that b
-    matrices hold at most 4096 entries, gap q = k b + r is the prefix P^r
-    times the squares of k's set bits, low bits first.  The prefixes of
-    the residues r in the grid, closed under clearing the top bit, are
-    filled one stacked product per bit level, so each costs one product;
-    the distinct gaps sharing k form one block of at most b matrices, one
-    stacked product per set bit of k, whose row TV distances are reduced
-    together.  A profile of another kind raises ``ValueError``.
+    stays P @ (P @ P)).  With b = ``_stack_len(m)``, gap q = k b + r is the
+    prefix P^r times the squares of k's set bits, low bits first.  One table
+    holds P^r for every r < b up to the largest gap, filled one stacked
+    product per bit level; the distinct gaps sharing k form one block,
+    multiplied one stacked product per set bit of k.  A profile of another
+    kind raises ``ValueError``.
     """
     if profile.kind != ProfileKind.EXACT_MARKOV:
         raise ValueError("exact beta needs an exact_markov profile")
@@ -442,44 +448,33 @@ def exact_beta_markov(profile: MixingProfile,
     squares = [transition]
     for _ in range(1, max(gaps, default=0).bit_length()):
         squares.append(squares[-1] @ squares[-1])
-    shift = max(0, (4096 // transition.size).bit_length() - 1)
-    low = (1 << shift) - 1
+    low = _stack_len(len(pi)) - 1
+    shift = low.bit_length()
     # the distinct gaps in order, 0 (beta 1) first: not np.unique, which
     # imports modules on its first call, nor a set, which holds ~50 B a gap
     uniq = [gap for gap, _ in groupby(sorted([0, *gaps]))]
     if uniq == gaps:  # such as an arange: one list, and no index to map back
         uniq = gaps
-    levels = [[] for _ in range(shift)]
-    need = {0}
-    for gap in uniq:
-        r = gap & low
-        while r not in need:
-            need.add(r)
-            levels[r.bit_length() - 1].append(r)
-            r ^= 1 << (r.bit_length() - 1)
-    prefix = np.empty((low + 1,) + transition.shape)
+    prefix = np.empty((min(low, uniq[-1]) + 1,) + transition.shape)
     prefix[0] = np.eye(len(pi))  # I @ S == S exactly
-    for t, level in enumerate(map(sorted, levels)):
-        if level and level[-1] - level[0] == len(level) - 1:  # views in and out
-            lo, hi = level[0], level[-1] + 1
-            np.matmul(prefix[lo - (1 << t):hi - (1 << t)], squares[t], out=prefix[lo:hi])
-        elif level:
-            prefix[level] = prefix[[r ^ 1 << t for r in level]] @ squares[t]
+    for t in range((len(prefix) - 1).bit_length()):
+        lo, hi = 1 << t, min(2 << t, len(prefix))
+        np.matmul(prefix[:hi - lo], squares[t], out=prefix[lo:hi])
     beta = np.ones(len(uniq))
     start = 1
     while start < len(uniq):
         k = uniq[start] >> shift
         stop = bisect_left(uniq, (k + 1) << shift, start)
         block = uniq[start:stop]
-        bits = [shift + t for t in range(k.bit_length()) if k >> t & 1]
         residues = [gap & low for gap in block]
         if residues[-1] - residues[0] == len(residues) - 1:
             powers = prefix[residues[0]:residues[-1] + 1]
         else:
             powers = prefix[residues]
-        for t in bits:
-            # stacked, each slice meets the kernel of a single product
-            powers = powers @ squares[t]
+        for t in range(k.bit_length()):
+            if k >> t & 1:
+                # stacked, each slice meets the kernel of a single product
+                powers = powers @ squares[shift + t]
         if 3 in block[:3]:  # sorted and positive, so 3 is among the first three
             powers = powers.copy()
             np.matmul(squares[1], transition, out=powers[block.index(3)])

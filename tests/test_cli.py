@@ -358,6 +358,48 @@ class TestIntegerFields:
         assert not out.exists()
 
 
+class TestOutOfRangeLiterals:
+    """A number literal beyond the double range (1e400 reads as inf, and an
+    integer of 400 digits converts to no float) is a config fault: exit 2,
+    nothing written.  json.dumps cannot write such a literal, so each config
+    is raw text with "BIG" replaced."""
+
+    SIM = {"dgp": {"generator": "iid_uniform"}, "statistic": "ks",
+           "n_grid": [64, 128, 256, 512], "replications": 30, "base_seed": 0}
+
+    @pytest.mark.parametrize("command,cfg,literal", [
+        ("rates", {"cells": [{"alpha": "BIG", "beta": 3.0}]}, "1e400"),
+        ("rates", {"cells": [{"alpha": 1.0, "beta": 3.0, "r": "BIG"}]}, "1e400"),
+        ("rates", {"cells": [{"alpha": 1.0, "beta": "BIG"}]}, "1" + "0" * 400),
+        ("phase", {"beta_grid": ["BIG"], "alpha_grid": [1.0, 2.0]}, "1e400"),
+        ("simulate", {**SIM, "dgp": {"generator": "renewal",
+                                     "params": {"tail_exponent": "BIG", "l_max": 100}}},
+         "1e400"),
+        ("simulate", {**SIM, "tolerance": "BIG"}, "1e400"),
+        ("ot-bench", {"dgp": {"generator": "iid_uniform"}, "d": 4, "beta": "BIG",
+                      "n_grid": [16, 24, 32, 48], "replications": 1,
+                      "base_seed": 0}, "1e400"),
+    ], ids=["rates_alpha", "rates_r", "rates_beta_int",
+            "phase_beta", "simulate_tail_exponent", "simulate_tolerance",
+            "ot_bench_beta"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg, literal):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg).replace('"BIG"', literal))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+        # the reason too: an infinite ot-bench beta is otherwise rejected as
+        # at the regime boundary 2/(d-2)
+        err = capsys.readouterr().err
+        assert "config error" in err and "outside the double range" in err
+        assert not out.exists()
+
+    def test_seed_beyond_64_bits_runs(self, tmp_path):
+        # a large integer that a double holds stays a valid seed
+        cfg_path = write_cfg(tmp_path, "cfg.json", {**self.SIM, "base_seed": 2**70})
+        assert main(["simulate", "--config", cfg_path,
+                     "--output-dir", str(tmp_path / "o")]) == 0
+
+
 class TestOtBenchCommand:
     def test_small_benchmark(self, tmp_path):
         cfg_path = write_cfg(

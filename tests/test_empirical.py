@@ -514,14 +514,15 @@ def frozen_covariance_lhs(transition, stationary, h, q_max):
 
 @pytest.mark.parametrize("m", [2, 5, 17, 70])
 def test_covariance_chain_matches_frozen_list_of_powers(m):
-    """Up to q = 200 the powers cross the 4096-entry chunk (every 164 powers
-    at m = 5, 15 at m = 17, each one at m = 70)."""
+    """Up to q = 200 the powers cross the chunks of mixing._stack_len powers
+    (every 128 at m = 5, 8 at m = 17, one at m = 70), and the edges of the
+    ceil(4096 / m^2) chunks they once came in (164 at m = 5, 15 at m = 17)."""
     P, pi = random_chain(np.random.default_rng(m), m)
     h = np.random.default_rng(m + 1).normal(size=m)
     ref = frozen_covariance_lhs(P, pi, h, 200)
     grid = verify_variance_bound(P, pi, h, range(1, 201), 3)
     assert [row[0].lhs for row in grid] == ref
-    for q in (1, 2, 15, 16, 164, 165, 200):
+    for q in (1, 2, 8, 9, 15, 16, 128, 129, 164, 165, 200):
         assert verify_variance_bound(P, pi, h, q, 3).lhs == ref[q - 1]
 
 

@@ -454,6 +454,37 @@ class TestExactBetaMarkov:
             mixing.exact_beta_markov(prof, np.array(grid, dtype=np.uint64)), expect)
         assert mixing.exact_beta_markov(prof, []).shape == (0,)
 
+    def test_stack_len_is_largest_power_of_two_that_fits(self):
+        for m in range(1, 100):
+            fits = [b for b in (2**j for j in range(13)) if b * m * m <= 4096]
+            assert mixing._stack_len(m) == max(fits, default=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_grids_match_matrix_power(self, m, seed, data):
+        """Chains of 1 to 20 states (blocks of b = 4096 down to 8 gaps) and
+        grids unsorted with repeats, contiguous from any offset, or near
+        multiples of b and near 3 + 2^t, against one matrix_power a gap."""
+        prof = random_chain(np.random.default_rng(seed), m)
+        b = mixing._stack_len(m)
+        near = st.integers(-2, 2)
+        gap = st.one_of(
+            st.integers(0, 3 * b),
+            st.builds(lambda k, d: max(0, k * b + d), st.integers(0, 300), near),
+            st.builds(lambda t, d: 3 + 2**t + d, st.integers(0, 20), near))
+        if data.draw(st.booleans(), "contiguous"):
+            start = data.draw(st.one_of(st.just(0), gap), "start")
+            grid = list(range(start, start + data.draw(st.integers(1, 40), "length")))
+        else:
+            grid = data.draw(st.lists(gap, max_size=30), "grid")
+            grid += data.draw(st.lists(st.sampled_from(grid), max_size=5), "repeats") \
+                if grid else []
+        ref = {q: matrix_power_beta(prof.transition, prof.stationary, q) for q in grid}
+        betas = mixing.exact_beta_markov(prof, grid)
+        assert np.array_equal(betas, [ref[q] for q in grid])
+        assert [mixing.exact_beta_markov(prof, q) for q in grid[:3]] \
+            == [ref[q] for q in grid[:3]]
+
     def test_long_grid_bounds_memory_and_imports(self):
         """perfbench's finite_class_bound reads beta at 10,001 gaps of a
         5-state chain: the traced peak stays under 745 KiB, and its first
